@@ -27,7 +27,7 @@ def main():
               % ("power:%g" % r, sup_norm(profile.u), exact, profile.c_star))
 
     # The same solver runs unchanged for maps without a closed-form
-    # inverse; the inverse is then computed by bracketed bisection.
+    # inverse; the inverse is then computed by the certified numeric engine.
     print()
     print("%-18s %12s %12s" % ("phi", "sup norm", "residual"))
     for descriptor in ("sum-powers:3,1.5", "ratio:2,0.5", "xlog", "arcsinh"):

@@ -21,7 +21,7 @@ from .errors import ConstructionError, ConvergenceError
 from .grids import GridFunction, dist_to_boundary, integral, sup_norm, support_data
 from .homeomorphisms import inverse_saturating
 from .linear import SolutionProfile, estimate_comparison_constant
-from .nonlinear import scan_shooting
+from .nonlinear import _largest_prefix_valid, scan_shooting
 from .problems import ProblemSpec, with_lambda
 
 
@@ -106,24 +106,9 @@ def compute_lambda1(spec: ProblemSpec, R: float):
     def margin_holds(t):
         return spec.phi.forward(t / c_om) > spec.mu * N * t ** r1
 
-    probe = np.geomspace(1e-12, 1e12, 400)
-    ok = np.asarray(margin_holds(probe), dtype=bool)
-    if not ok[0]:
-        raise ConstructionError("the g-term dominates at every scale; "
-                                "no positive threshold exists")
-    fails = np.flatnonzero(~ok)
-    if fails.size == 0:
-        t_under = float(probe[-1])
-    else:
-        j = int(fails[0])
-        lo, hi = float(probe[j - 1]), float(probe[j])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if margin_holds(mid):
-                lo = mid
-            else:
-                hi = mid
-        t_under = lo
+    t_under = _largest_prefix_valid(np.geomspace(1e-12, 1e12, 400),
+                                    margin_holds,
+                                    "scale at which phi beats the g-term")
 
     rho = 0.5 * min(t_under, R / 2.0, t1)
     lambda1 = (spec.phi.forward(rho / c_om) - spec.mu * N * rho ** r1) / (M * C)

@@ -30,8 +30,7 @@ from .homeomorphisms import CATALOG_DESCRIPTORS, make_catalog_entry
 from .linear import (envelope_bounds, cone_lower_bound, estimate_comparison_constant,
                      solve_linear, sup_norm_lower_bound, verify_comparison_constant)
 from .nonlinear import build_supersolution, make_sub_super_pair, solve_between
-from .orlicz import (check_delta2, check_phi_conditions, duality_check,
-                     estimate_indices)
+from .orlicz import check_delta2, check_phi_conditions, duality_check
 from .problem_io import (parse_linear_problem, parse_problem, write_diagram_csv,
                          write_json_report, write_profile_csv)
 from .problems import with_lambda
@@ -139,10 +138,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_indices(args) -> int:
     phi = make_catalog_entry(args.entry)
-    estimate = estimate_indices(phi)
+    duality = duality_check(phi)
+    estimate = duality.estimate
     d2 = check_delta2(phi)
     conditions = check_phi_conditions(phi, estimate=estimate)
-    duality = duality_check(phi)
 
     write_json_report(_out_path(args, "indices.json"), {
         "entry": args.entry,

@@ -3,8 +3,11 @@
 A problem's flux nonlinearity is an odd, strictly increasing bijection of the
 reals.  We store only its positive branch together with an optional analytic
 inverse; the odd extension is applied by sign arithmetic, which keeps oddness
-exact in floating point.  A catalog of standard examples is exposed through
-short descriptor strings such as ``"power:2"`` or ``"sum-powers:3,1.5"``.
+exact in floating point.  Every evaluation of the inverse, public or inside
+the solvers, takes its callable from ``_odd_inverse_fn``: the closed form
+when there is one, else the certified numeric engine.  A catalog of
+standard examples is exposed through short descriptor strings such as
+``"power:2"`` or ``"sum-powers:3,1.5"``.
 """
 
 from __future__ import annotations
@@ -18,18 +21,24 @@ import numpy as np
 from .errors import ConvergenceError, UnboundedInputError
 
 
-def _apply_odd(fn, y):
-    """Evaluate the odd extension of a positive-branch map, sending 0 to 0."""
+def _odd(fn):
+    """The odd extension of a positive-branch map as an array callable.
+
+    0 and -0.0 map to 0 and NaN to NaN, and the sign of the argument is
+    carried over exactly, so oddness holds bit for bit.
+    """
+    def odd(y):
+        return np.where(y == 0.0, 0.0, np.sign(y) * fn(np.abs(y)))
+    return odd
+
+
+def _evaluate(odd, y):
+    """Apply an odd array callable to a scalar or an array, with overflow
+    warnings off; a scalar comes back as a Python float."""
     arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    mask = arr != 0.0
-    if np.any(mask):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = fn(np.abs(arr[mask]))
-        out[mask] = np.sign(arr[mask]) * vals
-    return float(out[0]) if scalar else out
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = odd(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,12 +59,13 @@ class Homeomorphism:
     _ladder: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def forward(self, y):
-        return _apply_odd(self._forward_pos, y)
+        return _evaluate(_odd(self._forward_pos), y)
 
     def inverse(self, z):
-        if self._inverse_pos is not None:
-            return _apply_odd(self._inverse_pos, z)
-        return numeric_inverse(self, z)
+        """phi^{-1}(z): the closed form when there is one, else the certified
+        numeric engine; raises ``UnboundedInputError`` for a target the
+        engine cannot reach."""
+        return _evaluate(_odd_inverse_fn(self, "raise"), z)
 
     def _probe_ladder(self):
         """Positive decade probes and their images, filtered to the finite,
@@ -90,6 +100,8 @@ _PROBE_EXPONENTS = np.arange(-320, 309)
 _SECANT_STEPS = 10
 # Relative half-width of the x-side bracket that certifies a secant root.
 _BRACKET_REL = 1e-13
+# Residual a numeric root must meet: |phi(x) - y| <= _RESIDUAL_TOL (1 + y).
+_RESIDUAL_TOL = 1e-12
 
 
 def _secant_roots(forward_pos, targets, lo, hi, f_lo, f_hi):
@@ -135,9 +147,9 @@ def _secant_roots(forward_pos, targets, lo, hi, f_lo, f_hi):
     return root
 
 
-def _certified(forward_pos, roots, targets, tol):
+def _certified(forward_pos, roots, targets):
     """Entries of ``roots`` that pass both acceptance checks: the residual
-    ``|phi(x) - y| <= tol (1 + y)`` and the x-side bracket
+    ``|phi(x) - y| <= 1e-12 (1 + y)`` and the x-side bracket
     ``phi(x (1 - 1e-13)) < y <= phi(x (1 + 1e-13))``.
 
     The bracket puts x within 1e-13 of the smallest float whose image
@@ -150,7 +162,7 @@ def _certified(forward_pos, roots, targets, tol):
         (roots, roots * (1.0 - _BRACKET_REL), roots * (1.0 + _BRACKET_REL)))),
         dtype=float)
     at, below, above = vals[:n], vals[n:2 * n], vals[2 * n:]
-    return ((np.abs(at - targets) <= tol * (1.0 + targets))
+    return ((np.abs(at - targets) <= _RESIDUAL_TOL * (1.0 + targets))
             & (below < targets) & (targets <= above))
 
 
@@ -160,20 +172,20 @@ def _midpoint(lo, hi):
     return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
 
 
-def _invert_positive(phi, targets, tol, out_of_range="raise"):
+def _invert_positive(phi, targets, out_of_range):
     """Vectorized inverse of the positive branch of ``phi``.
 
     ``targets`` must be a positive 1-D array.  Each target is bracketed
     between two points of the probe ladder cached on ``phi``, guessed by
     log-log interpolation and polished by a safeguarded log-log secant.  A
-    root is accepted only when ``|phi(x) - y| <= tol * (1 + y)`` and
+    root is accepted only when ``|phi(x) - y| <= 1e-12 * (1 + y)`` and
     ``phi(x (1 - 1e-13)) < y <= phi(x (1 + 1e-13))`` both hold; every
     other entry (including targets below the ladder's first image) is
     redone by 64 bisection steps on its ladder bracket, and
     ``ConvergenceError`` is raised if that still misses the residual
     check.  Targets above every representable image either raise
-    ``UnboundedInputError`` or come back as ``inf`` depending on
-    ``out_of_range``.
+    ``UnboundedInputError`` (``out_of_range="raise"``) or come back as
+    ``inf`` (``"inf"``).
     """
     forward_pos = phi._forward_pos
     targets = np.asarray(targets, dtype=float)
@@ -199,7 +211,7 @@ def _invert_positive(phi, targets, tol, out_of_range="raise"):
             i = idx[sec]
             root[sec] = _secant_roots(forward_pos, targets[sec], lo[sec],
                                       hi[sec], pv[i - 1], pv[i])
-            fallback[sec] = ~_certified(forward_pos, root[sec], targets[sec], tol)
+            fallback[sec] = ~_certified(forward_pos, root[sec], targets[sec])
 
         bis = np.flatnonzero(fallback)
         if bis.size:
@@ -211,7 +223,7 @@ def _invert_positive(phi, targets, tol, out_of_range="raise"):
                 b_hi = np.where(below, b_hi, mid)
             b_root = _midpoint(b_lo, b_hi)
             res = np.abs(np.asarray(forward_pos(b_root), dtype=float) - b_y)
-            bad = (res > tol * (1.0 + b_y)) & ~overflow[bis]
+            bad = (res > _RESIDUAL_TOL * (1.0 + b_y)) & ~overflow[bis]
             if np.any(bad):
                 raise ConvergenceError(
                     "numeric inverse missed its tolerance (worst residual %g)"
@@ -222,60 +234,71 @@ def _invert_positive(phi, targets, tol, out_of_range="raise"):
     return root
 
 
-def numeric_inverse(phi: Homeomorphism, y, tol: float = 1e-12):
-    """Invert ``phi`` numerically, without a closed-form inverse.
+def _odd_inverse_fn(phi, out_of_range):
+    """The odd inverse of ``phi`` as one array callable.
+
+    This is the one place that decides how phi is inverted: by its closed
+    form when it has one, else by the certified numeric engine, where a
+    target above the largest representable image raises
+    ``UnboundedInputError`` (``out_of_range="raise"``) or maps to inf
+    (``"inf"``).  Either way 0 and -0.0 map to 0, NaN to NaN, and the sign
+    of the argument is carried over exactly.  The callable takes a float
+    array and sets no floating-point error state: the public entries wrap
+    each call in ``np.errstate``, and the shooting march binds the callable
+    once and runs its whole loop under one.
+    """
+    if phi._inverse_pos is None:
+        return _numeric_odd_inverse(phi, out_of_range)
+    return _odd(phi._inverse_pos)
+
+
+def _numeric_odd_inverse(phi, out_of_range):
+    """The odd inverse of ``phi`` by the certified numeric engine."""
+    def inverse(z):
+        out = np.zeros_like(z)
+        mask = z != 0.0
+        if np.any(mask):
+            roots = _invert_positive(phi, np.abs(z[mask]), out_of_range)
+            out[mask] = np.sign(z[mask]) * roots
+        return out
+    return inverse
+
+
+def numeric_inverse(phi: Homeomorphism, y):
+    """Invert ``phi`` by the certified numeric engine, even when it has a
+    closed-form inverse, which makes this the reference against one.
 
     Handles scalars and arrays and applies the odd extension by sign.  Each
     magnitude is bracketed on a decade probe ladder (built once per map and
     cached on it), guessed by log-log interpolation and polished by a few
     log-log secant steps.  A root is accepted only when both
-    ``|phi(root) - y| <= tol * (1 + |y|)`` and the x-side bracket
+    ``|phi(root) - y| <= 1e-12 * (1 + |y|)`` and the x-side bracket
     ``phi(root (1 - 1e-13)) < |y| <= phi(root (1 + 1e-13))`` hold; any
     other entry is redone by bisection on its ladder bracket, and
     ``ConvergenceError`` is raised if that still misses the residual
     check.  A magnitude above the largest representable image raises
     ``UnboundedInputError``.
     """
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    mask = arr != 0.0
-    if np.any(mask):
-        roots = _invert_positive(phi, np.abs(arr[mask]), tol)
-        out[mask] = np.sign(arr[mask]) * roots
-    return float(out[0]) if scalar else out
+    return _evaluate(_numeric_odd_inverse(phi, "raise"), y)
 
 
 def inverse_saturating(phi: "Homeomorphism", z):
-    """Positive-branch inverse that saturates to ``inf`` beyond the
-    representable range instead of raising.
+    """``phi.inverse(z)`` that saturates to +-inf past the representable
+    range instead of raising.
 
-    ``z`` must be nonnegative (scalar or array); negative entries are
-    clamped to 0.  Useful inside feasibility scans where an off-scale value
-    simply means the scanned condition fails or holds trivially.
+    Odd like ``phi.inverse``, for scalars and arrays.  Useful inside
+    feasibility scans where an off-scale value simply means the scanned
+    condition fails or holds trivially.
     """
-    arr = np.maximum(np.asarray(z, dtype=float), 0.0)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    mask = arr > 0.0
-    if np.any(mask):
-        if phi._inverse_pos is not None:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out[mask] = phi._inverse_pos(arr[mask])
-        else:
-            out[mask] = _invert_positive(phi, arr[mask], 1e-12,
-                                         out_of_range="inf")
-    return float(out[0]) if scalar else out
+    return _evaluate(_odd_inverse_fn(phi, "inf"), z)
 
 
 class _InverseTable:
     """Fast monotone approximation of a positive-branch inverse.
 
     When the homeomorphism carries an explicit inverse, calls defer to it
-    (saturating past the representable range).  Otherwise this tabulates
-    the forward map on a geometric grid spanning the cached probe ladder,
+    (saturating to inf past the representable range).  Otherwise this
+    tabulates the forward map on a geometric grid spanning the probe ladder,
     up to the certified numeric root of ``z_max`` (secant with residual and
     x-bracket checks, else bisection), and interpolates the inverse in
     log-log coordinates.  The approximation is itself increasing,
@@ -287,9 +310,9 @@ class _InverseTable:
     """
 
     def __init__(self, phi: Homeomorphism, z_max: float, points: int = 4096):
-        self._exact = phi._inverse_pos is not None
-        self._phi = phi
-        if self._exact:
+        self._exact = None
+        if phi._inverse_pos is not None:
+            self._exact = _odd_inverse_fn(phi, "inf")
             return
         px, _ = phi._probe_ladder()
         t_hi = inverse_saturating(phi, float(z_max)) * 1.001
@@ -310,13 +333,13 @@ class _InverseTable:
         self._z_floor = z[0]
 
     def __call__(self, z):
-        if self._exact:
-            return inverse_saturating(self._phi, z)
         z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        mask = z > self._z_floor
-        if np.any(mask):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self._exact is not None:
+                return self._exact(z)
+            out = np.zeros_like(z)
+            mask = z > self._z_floor
+            if np.any(mask):
                 out[mask] = np.exp(
                     np.interp(np.log(z[mask]), self._log_z, self._log_t))
         return out
@@ -377,13 +400,27 @@ def _xlog_forward(y):
     return y * (np.abs(np.log(y)) + 1.0)
 
 
+def _x_minus_log1p_series(y):
+    """y - log(1+y) summed from its series y^2 (1/2 - y/3 + y^2/4 - ...)
+    through y^13, within 2.6e-16 relative for 0 <= y < 0.05.  The
+    Horner steps run in place, since growth scans evaluate the map on large
+    2-D grids."""
+    acc = np.full_like(y, 1.0 / 13.0)
+    for k in range(12, 1, -1):
+        acc *= y
+        np.subtract(1.0 / k, acc, out=acc)
+    acc *= y
+    acc *= y
+    return acc
+
+
 def _x_minus_log1p_forward(y):
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    small = y < 1e-4
-    ys = y[small]
-    # Series for y - log(1+y) keeps full relative accuracy near 0.
-    out[small] = ys * ys * (0.5 - ys * (1.0 / 3.0 - ys * (0.25 - ys / 5.0)))
+    # The direct difference cancels digits near 0.  From 0.05 up it loses at
+    # most a factor 2/y, which keeps it within 4e-15 relative.
+    small = y < 0.05
+    out[small] = _x_minus_log1p_series(y[small])
     yl = y[~small]
     out[~small] = yl - np.log1p(yl)
     return out
@@ -481,23 +518,15 @@ def inverse_homeomorphism(phi: Homeomorphism) -> Homeomorphism:
     """The inverse map as a homeomorphism in its own right.
 
     Growth exponents of the inverse are the reciprocals of the original's
-    (with 1/0 read as infinity).  When the original has no analytic inverse
-    the new forward map is the numeric inverse engine: a log-log secant
-    from the original's cached probe ladder, accepted only when the
-    residual and x-bracket checks both hold, else bisection on the ladder
-    bracket.  Targets beyond the representable range then saturate to
-    ``inf`` instead of raising, so growth scans can treat them as
-    off-scale.
+    (with 1/0 read as infinity).  The new forward map evaluates phi^{-1} as
+    ``inverse_saturating`` does: by the closed form when there is one, else
+    by the certified numeric engine, with targets beyond the representable
+    range saturating to ``inf`` instead of raising, so growth scans can
+    treat them as off-scale.
     """
-    if phi._inverse_pos is not None:
-        fwd = phi._inverse_pos
-    else:
-        def fwd(z):
-            return _invert_positive(phi, np.asarray(z, dtype=float),
-                                    1e-12, out_of_range="inf")
     return Homeomorphism(
         label="inverse(%s)" % phi.label,
-        _forward_pos=fwd,
+        _forward_pos=_odd_inverse_fn(phi, "inf"),
         _inverse_pos=phi._forward_pos,
         known_alpha=_reciprocal_index(phi.known_beta),
         known_beta=_reciprocal_index(phi.known_alpha),

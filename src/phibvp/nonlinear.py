@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError, ZeroWeightError
 from .grids import (GridFunction, cumulative_trapezoid_values, dist_to_boundary,
                     integral, sup_norm)
-from .homeomorphisms import inverse_saturating
+from .homeomorphisms import _odd_inverse_fn, inverse_saturating
 from .linear import SolutionProfile, solve_linear
 from .problems import ProblemSpec, rhs
 
@@ -61,15 +61,6 @@ class SubSuperPair:
 
 def _cell_means(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[:-1] + values[1:])
-
-
-def _inv_odd_saturating(phi, z):
-    """Odd extension of the saturating inverse, for flux-to-slope conversion."""
-    arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.sign(arr) * inverse_saturating(phi, np.abs(arr))
-    return float(out[0]) if scalar else out
 
 
 def _verify_profile(spec: ProblemSpec, profile: SolutionProfile, slack: float,
@@ -370,16 +361,10 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
     else:
         n_sub = max(1, int(math.ceil(float(np.max(widths)) / step)))
 
-    inv_pos = phi._inverse_pos
-    if inv_pos is not None:
-        # Closed-form inverse: skip the generic wrapper, it dominates the
-        # per-cell cost of the march on small lane counts.
-        def inv_odd(z_):
-            a = np.abs(z_)
-            return np.where(a > 0.0, np.sign(z_) * inv_pos(a), 0.0)
-    else:
-        def inv_odd(z_):
-            return _inv_odd_saturating(phi, z_)
+    # Bound once, outside the public entries: their per-call scalar
+    # handling and error state would dominate the per-stage cost on small
+    # lane counts, and the loop below already runs under one errstate.
+    inv_odd = _odd_inverse_fn(phi, "inf")
 
     def derivs(u_, z_, mc, nc):
         up = np.maximum(u_, 0.0)
@@ -462,7 +447,7 @@ def _integrated_defect(spec: ProblemSpec, u_nodes: np.ndarray,
 
 
 def _profile_from_shot(spec: ProblemSpec, u_nodes, z_nodes) -> SolutionProfile:
-    du = _inv_odd_saturating(spec.phi, z_nodes)
+    du = inverse_saturating(spec.phi, z_nodes)
     residual = _integrated_defect(spec, u_nodes, z_nodes)
     return SolutionProfile(
         u=GridFunction(spec.grid, u_nodes),

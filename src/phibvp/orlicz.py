@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .homeomorphisms import Homeomorphism, inverse_homeomorphism
+from .homeomorphisms import (Homeomorphism, _reciprocal_index,
+                             inverse_homeomorphism)
 
 _GRID_POINTS = 10 ** 4
 _LN2 = math.log(2.0)
@@ -43,9 +44,11 @@ class HypothesisVerdict(Enum):
 
 
 def representable_x_grid(phi: Homeomorphism, points: int = _GRID_POINTS) -> np.ndarray:
-    """Log-spaced grid spanning the decades where phi is finite and positive."""
+    """Log-spaced grid spanning the decades where phi is finite and positive,
+    starting no lower than the smallest normal float: below it x itself is
+    quantized, and for an inverse map so are the targets it inverts."""
     px, _ = phi._probe_ladder()
-    return np.geomspace(px[0], px[-1], points)
+    return np.geomspace(max(float(px[0]), _TINY_NORMAL), px[-1], points)
 
 
 def growth_ratio(phi: Homeomorphism, t: float, x_grid=None) -> float:
@@ -295,14 +298,6 @@ def classify_limit(phi: Homeomorphism, q: float, end: str,
     return LimitClass.INDETERMINATE
 
 
-def _reciprocal(v: float) -> float:
-    if v == 0.0:
-        return math.inf
-    if math.isinf(v):
-        return 0.0
-    return 1.0 / v
-
-
 def _identity_residual(lhs: float, rhs: float) -> float:
     if math.isinf(lhs) and math.isinf(rhs):
         return 0.0
@@ -313,11 +308,13 @@ def _identity_residual(lhs: float, rhs: float) -> float:
 
 @dataclass(frozen=True)
 class DualityResult:
-    """Outcome of the reciprocal-exponent identities between phi and its inverse."""
+    """Outcome of the reciprocal-exponent identities between phi and its
+    inverse, with the index estimates of both sides."""
 
     passed: bool
     beta_residual: float
     alpha_residual: float
+    estimate: IndexEstimate
     inverse_estimate: IndexEstimate
 
     def __bool__(self):
@@ -334,12 +331,15 @@ def duality_check(phi: Homeomorphism, tol: float = 0.05) -> DualityResult:
     """
     est = estimate_indices(phi)
     inv_est = estimate_indices(inverse_homeomorphism(phi))
-    beta_residual = _identity_residual(est.beta_hat, _reciprocal(inv_est.alpha_hat))
-    alpha_residual = _identity_residual(est.alpha_hat, _reciprocal(inv_est.beta_hat))
+    beta_residual = _identity_residual(est.beta_hat,
+                                       _reciprocal_index(inv_est.alpha_hat))
+    alpha_residual = _identity_residual(est.alpha_hat,
+                                        _reciprocal_index(inv_est.beta_hat))
     return DualityResult(
         passed=bool(beta_residual <= tol and alpha_residual <= tol),
         beta_residual=beta_residual,
         alpha_residual=alpha_residual,
+        estimate=est,
         inverse_estimate=inv_est,
     )
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,12 @@ class TestLambda1:
                            lam=spec.lam, mu=spec.mu, f=spec.f, g=spec.g)
         with pytest.raises(ConstructionError):
             compute_lambda1(bare, R=4.0)
+
+    def test_dominant_g_term_is_named(self):
+        # mu t^2 outgrows phi(2 t) = 2 t already at t = 1e-12.
+        spec = replace(reference_spec(n_nodes=65), mu=1e30)
+        with pytest.raises(ConstructionError, match="g-term"):
+            compute_lambda1(spec, R=0.5)
 
 
 class TestLambdaStarBisect:

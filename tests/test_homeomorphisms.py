@@ -10,6 +10,12 @@ from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, UnboundedInputError,
 ALL_ENTRIES = [make_catalog_entry(d) for d in CATALOG_DESCRIPTORS]
 
 
+def _bounded():
+    # Range (-1, 1) and no closed-form inverse: the engine decides every
+    # entry, and targets of size 1 or more are past the range.
+    return Homeomorphism("bounded", lambda y: y / (1.0 + y))
+
+
 @pytest.fixture(params=CATALOG_DESCRIPTORS, ids=lambda d: d)
 def entry(request):
     return make_catalog_entry(request.param)
@@ -95,7 +101,7 @@ class TestInversion:
         # ratio:2,0.5 tends to a finite ceiling only in its first factor;
         # the genuinely bounded-range test is arcsinh composed with itself
         # far beyond float range, so use a custom bounded forward branch.
-        phi = Homeomorphism("bounded", lambda y: y / (1.0 + y))
+        phi = _bounded()
         assert inverse_saturating(phi, 2.0) == math.inf
         assert inverse_saturating(phi, 0.5) == pytest.approx(1.0, rel=1e-9)
 
@@ -139,11 +145,95 @@ class TestInversion:
         assert np.allclose(inverse_saturating(phi, z), z, rtol=1e-12)
 
     def test_numeric_inverse_rejects_unreachable_target(self):
-        phi = Homeomorphism("bounded", lambda y: y / (1.0 + y))
+        phi = _bounded()
         with pytest.raises(UnboundedInputError):
             numeric_inverse(phi, 2.0)
         with pytest.raises(UnboundedInputError):
             numeric_inverse(phi, np.array([0.5, -2.0]))
+
+
+_NO_CLOSED_FORM = {"sum-powers:3,1.5", "ratio:2,0.5", "xlog", "x-log1p",
+                   "bounded"}
+
+
+@pytest.fixture(params=CATALOG_DESCRIPTORS + ("bounded",), ids=lambda d: d)
+def any_map(request):
+    if request.param == "bounded":
+        return _bounded()
+    return make_catalog_entry(request.param)
+
+
+def _three_inverses(phi):
+    return {"inverse": phi.inverse,
+            "inverse_saturating": lambda z: inverse_saturating(phi, z),
+            "numeric_inverse": lambda z: numeric_inverse(phi, z)}
+
+
+class TestInverseEntries:
+    """``phi.inverse``, ``inverse_saturating`` and ``numeric_inverse`` follow
+    one rule: odd, 0 to 0, NaN to NaN, a float for a scalar."""
+
+    def test_agree_in_range(self, any_map):
+        z = any_map.forward(np.geomspace(1e-3, 1e3, 40))
+        z = np.concatenate((z, -z))
+        exact = any_map.inverse(z)
+        assert np.array_equal(inverse_saturating(any_map, z), exact)
+        assert np.allclose(numeric_inverse(any_map, z), exact, rtol=1e-10)
+
+    def test_odd_zero_nan_and_scalar(self, any_map):
+        z = any_map.forward(np.array([1e-5, 0.3, 2.0, 40.0]))
+        for name, inv in _three_inverses(any_map).items():
+            assert np.array_equal(inv(-z), -inv(z)), name
+            out = inv(np.array([0.0, -0.0, np.nan]))
+            assert out[0] == 0.0 and out[1] == 0.0 and np.isnan(out[2]), name
+            for scalar in (0.5, -0.5, 0.0, -0.0):
+                assert type(inv(scalar)) is float, name
+            assert math.isnan(inv(math.nan)), name
+
+    def test_saturating_inverse_is_odd(self, any_map):
+        z = any_map.forward(np.array([0.01, 1.0, 7.0]))
+        assert np.all(inverse_saturating(any_map, -z) < 0.0)
+        assert np.array_equal(inverse_saturating(any_map, -z),
+                              -inverse_saturating(any_map, z))
+
+    def test_past_the_range(self, any_map):
+        # The largest float lies above every map's largest finite image on
+        # the probe ladder, so the engine raises or saturates there; a
+        # closed form answers for itself.
+        top = np.finfo(float).max
+        past = np.array([top, -top, math.inf, -math.inf])
+        for z in past:
+            with pytest.raises(UnboundedInputError):
+                numeric_inverse(any_map, z)
+        if any_map.label in _NO_CLOSED_FORM:
+            for z in past:
+                with pytest.raises(UnboundedInputError):
+                    any_map.inverse(z)
+            assert np.array_equal(inverse_saturating(any_map, past),
+                                  np.sign(past) * math.inf)
+        else:
+            assert np.array_equal(inverse_saturating(any_map, past),
+                                  any_map.inverse(past))
+            assert any_map.inverse(math.inf) == math.inf
+            assert any_map.inverse(-math.inf) == -math.inf
+
+
+class TestXMinusLog1p:
+    def test_relative_error_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        y = np.geomspace(1e-8, 10.0, 2001)
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.mpf(v) - mpmath.log1p(mpmath.mpf(v)))
+                              for v in y])
+        got = make_catalog_entry("x-log1p").forward(y)
+        assert np.max(np.abs(got - exact) / exact) <= 1e-14
+
+    def test_strictly_increasing_at_fine_spacing(self):
+        phi = make_catalog_entry("x-log1p")
+        y = np.geomspace(1e-6, 1.0, 20001)
+        at = phi.forward(y)
+        assert np.all(phi.forward(y * (1.0 - 1e-13)) < at)
+        assert np.all(at < phi.forward(y * (1.0 + 1e-13)))
 
 
 class TestInverseHomeomorphism:

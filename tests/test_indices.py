@@ -139,6 +139,15 @@ class TestDuality:
         assert res.passed
         assert res.beta_residual <= 0.05
         assert res.alpha_residual <= 0.05
+        assert res.estimate == estimate_for(descriptor)
+
+    @pytest.mark.parametrize("descriptor", ["power:2", "x-log1p", "logpow:2"])
+    def test_inverse_lower_exponent_is_sharp(self, descriptor):
+        # All three maps grow like y^2 near 0, so their inverses' lower
+        # exponent is 1/2.  A growth grid reaching into the subnormals
+        # inverts quantized targets and misses it by up to 2e-4.
+        res = duality_check(entry_for(descriptor))
+        assert res.inverse_estimate.alpha_hat == pytest.approx(0.5, abs=1e-5)
 
 
 class TestClassifyLimit:
