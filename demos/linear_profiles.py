@@ -1,8 +1,8 @@
 """Solve -phi(u')' = h with zero boundary values for several flux maps.
 
-The solver works in the integrated form phi(u') = c - H(x): it bisects the
-flux constant c until the rebuilt profile lands on zero at the right
-endpoint.  For the odd power phi(y) = |y|^(r-1) y with constant forcing the
+The solver works in the integrated form phi(u') = c - H(x): a bracketed
+secant (Illinois) search moves the flux constant c until the rebuilt
+profile lands on zero at the right endpoint.  For the odd power phi(y) = |y|^(r-1) y with constant forcing the
 peak has the closed form (r / (r + 1)) (1/2)^((r+1)/r), which makes a handy
 sanity row in the table below.
 """

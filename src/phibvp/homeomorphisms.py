@@ -255,8 +255,9 @@ def _odd_inverse_fn(phi, out_of_range):
 def _numeric_odd_inverse(phi, out_of_range):
     """The odd inverse of ``phi`` by the certified numeric engine."""
     def inverse(z):
-        out = np.zeros_like(z)
-        mask = z != 0.0
+        # NaN maps to NaN without entering the root loops.
+        out = np.where(np.isnan(z), np.nan, 0.0)
+        mask = np.abs(z) > 0.0
         if np.any(mask):
             roots = _invert_positive(phi, np.abs(z[mask]), out_of_range)
             out[mask] = np.sign(z[mask]) * roots

@@ -6,7 +6,9 @@ condition through the scalar equation
 
     F(c) = integral of phi^{-1}(c - H) over (a, b) = 0.
 
-F is nondecreasing and continuous, so bisection on [min H, max H] is enough.
+F is nondecreasing and continuous and changes sign on [min H, max H], so a
+bracketed root finder pins c; a safeguarded Illinois iteration reaches the
+last bit in about a dozen evaluations of F, where bisection needs about 55.
 The module also evaluates the two-sided envelope of the solution, its cone
 lower bound, the monotonicity of the solution operator, and a numeric
 comparison constant c with
@@ -18,11 +20,13 @@ uniformly over a grid of M values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, UnboundedInputError
 from .grids import (Grid, GridFunction, dist_to_boundary, require_same_grid,
                     support_data)
 from .homeomorphisms import Homeomorphism, _InverseTable, inverse_saturating
@@ -33,6 +37,10 @@ DEFAULT_REFINE = 16
 # tabulated inverse; this deflation keeps the certified value conservative
 # with respect to the tabulation error.
 _TABLE_MARGIN = 1e-3
+
+# Steps allowed to the flux-constant search; its midpoint rule makes this
+# enough for about 200 halvings of the bracket.
+_FLUX_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -131,16 +139,67 @@ class _RefinedCumulative:
         return pts, Hs
 
 
+def _flux_root(defect, lo, hi):
+    """Root of the nondecreasing boundary functional F on ``[lo, hi]``.
+
+    ``defect(c)`` returns ``(F(c), g, cell_int)``.  Both ends are evaluated
+    first, and F(lo) < 0 <= F(hi) holds throughout.  Each step is an
+    Illinois step: a secant through the ends, with the value of an end that
+    stayed put while the other moved twice in a row halved.  A midpoint
+    replaces it when an end's F is infinite (phi^{-1} saturated there) or
+    when, after k steps, the bracket is wider than
+    width0 * 2^-floor((k - 1) / 2), which bounds the steps by about twice
+    bisection's.  Every point is clamped one float inside the bracket, and
+    the search stops at two adjacent floats, where it returns
+    ``(c, F, g, cell_int)`` of the end with the smaller |F| (the lower on a
+    tie) without evaluating it again.
+    """
+    lo_end, hi_end = (lo, *defect(lo)), (hi, *defect(hi))
+    if lo_end[1] == 0.0:
+        return lo_end
+    f_lo, f_hi = lo_end[1], hi_end[1]
+    width0 = hi - lo
+    moved = 0
+    for k in range(_FLUX_STEPS):
+        lo, hi = lo_end[0], hi_end[0]
+        inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        if inner_lo >= hi:
+            break
+        secant = (hi - lo <= width0 * 0.5 ** ((k - 1) // 2)
+                  and -math.inf < f_lo < 0.0 <= f_hi < math.inf)
+        if secant:
+            c = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        else:
+            c = 0.5 * (lo + hi)
+        c = min(max(c, inner_lo), inner_hi)
+        end = (c, *defect(c))
+        if end[1] < 0.0:
+            lo_end, f_lo = end, end[1]
+            if moved < 0:
+                f_hi *= 0.5
+            moved = -1
+        else:
+            hi_end, f_hi = end, end[1]
+            if moved > 0:
+                f_lo *= 0.5
+            moved = 1
+        if not secant:
+            f_lo, f_hi, moved = lo_end[1], hi_end[1], 0
+    return min(lo_end, hi_end, key=lambda end: abs(end[1]))
+
+
 def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = 1e-10,
                  refine: int = DEFAULT_REFINE) -> SolutionProfile:
     """Solve -phi(u')' = h with zero boundary values.
 
-    The flux constant is bisected to the last representable bit on the
-    bracket [min H, max H], on which the discrete boundary functional F
-    changes sign; ``tol`` is the acceptance threshold on the remaining
-    relative defect of u(b) = 0, not a target the bisection aims for.
-    Raises ``ConvergenceError`` when even the exhausted bracket cannot meet
-    it, which signals a tolerance too tight for the grid.
+    The flux constant is found to the last representable bit on the bracket
+    [min H, max H], on which the discrete boundary functional F changes
+    sign, by a safeguarded Illinois iteration (see ``_flux_root``); ``tol``
+    is the acceptance threshold on the remaining relative defect of
+    u(b) = 0, not a target the iteration aims for.  Raises
+    ``ConvergenceError`` when even the closed bracket cannot meet it, which
+    signals a tolerance too tight for the grid, and ``UnboundedInputError``
+    when phi^{-1}(c - H) leaves the range of phi for every flux constant c.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -149,31 +208,31 @@ def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = 1e-10,
     span = grid.b - grid.a
 
     def boundary_defect(c):
-        g = phi.inverse(c - rc.cell_H)
-        cell_int = rc.integrate_cells(g)
+        # phi^{-1}(c - H) on the fine points; the cells share their ends.
+        # Where it saturates F is read as +-inf, so the search can pass
+        # flux constants that no solution has.
+        g = inverse_saturating(phi, c - rc.fine_H)
+        up, down = g.max() == np.inf, g.min() == -np.inf
+        if up and down:
+            raise UnboundedInputError(
+                "no flux constant solves the problem: at c = %g, "
+                "phi^{-1}(c - H) leaves the range of phi at both signs" % c)
+        if up or down:
+            return (np.inf if up else -np.inf), g, None
+        cell_int = rc.integrate_cells(sliding_window_view(g, refine + 1)[::refine])
         return float(np.sum(cell_int)), g, cell_int
 
     lo = float(np.min(rc.fine_H))
     hi = float(np.max(rc.fine_H))
     if hi > lo:
-        for _ in range(200):
-            if hi - lo <= 2.0 * np.spacing(max(abs(lo), abs(hi))):
-                break
-            mid = 0.5 * (lo + hi)
-            F_mid, _, _ = boundary_defect(mid)
-            if F_mid < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        F_lo, g_lo, ci_lo = boundary_defect(lo)
-        F_hi, g_hi, ci_hi = boundary_defect(hi)
-        if abs(F_lo) <= abs(F_hi):
-            c, F_c, g, cell_int = lo, F_lo, g_lo, ci_lo
-        else:
-            c, F_c, g, cell_int = hi, F_hi, g_hi, ci_hi
+        c, F_c, g, cell_int = _flux_root(boundary_defect, lo, hi)
     else:
         c = lo
         F_c, g, cell_int = boundary_defect(c)
+    if not np.isfinite(F_c):
+        raise UnboundedInputError(
+            "no flux constant solves the problem: at c = %g, phi^{-1}(c - H) "
+            "leaves the range of phi" % c)
 
     scale = span * (1.0 + float(np.max(np.abs(g))))
     residual = abs(F_c) / scale
@@ -185,13 +244,12 @@ def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = 1e-10,
     u_values = np.empty(grid.count)
     u_values[0] = 0.0
     np.cumsum(cell_int, out=u_values[1:])
-    # The boundary values are data; the leftover bisection defect stays in
-    # ``residual`` rather than polluting the profile.
+    # The boundary values are data; the leftover defect of the flux
+    # constant stays in ``residual`` rather than polluting the profile.
     u_values[-1] = 0.0
-    du_values = phi.inverse(c - rc.node_H)
     return SolutionProfile(
         u=GridFunction(grid, u_values),
-        du=GridFunction(grid, du_values),
+        du=GridFunction(grid, g[::refine]),
         c_star=float(c),
         residual=residual,
     )

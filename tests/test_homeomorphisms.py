@@ -137,6 +137,31 @@ class TestInversion:
         assert len(calls) <= 12
         assert np.allclose(base.forward(roots), z, rtol=1e-12)
 
+    def test_nan_target_costs_no_forward_calls(self):
+        # A NaN comes back as NaN without entering the secant or the
+        # bisection loop, so it leaves the other roots and the call count
+        # as they are.
+        base = make_catalog_entry("sum-powers:3,1.5")
+        calls = []
+
+        def counting(y):
+            calls.append(np.size(y))
+            return base._forward_pos(y)
+
+        phi = Homeomorphism("counted", counting)
+        z = np.geomspace(1e-6, 1e6, 1000)
+        clean = numeric_inverse(phi, z)
+        calls.clear()
+        numeric_inverse(phi, z)
+        without_nan = len(calls)
+        z[500] = np.nan
+        calls.clear()
+        roots = numeric_inverse(phi, z)
+        assert len(calls) == without_nan
+        assert np.isnan(roots[500])
+        keep = np.arange(z.size) != 500
+        assert np.array_equal(roots[keep], clean[keep])
+
     def test_numeric_inverse_near_top_of_float_range(self):
         # Roots above half the largest float must not overflow to inf.
         phi = make_catalog_entry("x-log1p")

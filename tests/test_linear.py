@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from phibvp import (ConvergenceError, Grid, GridFunction, cone_lower_bound,
+from phibvp import (CATALOG_DESCRIPTORS, ConvergenceError, Grid,
+                    GridFunction, Homeomorphism, UnboundedInputError,
+                    cone_lower_bound, corpus,
                     envelope_bounds, estimate_comparison_constant,
                     make_catalog_entry, make_power, monotone_check,
                     solve_linear, sup_norm, sup_norm_lower_bound,
                     verify_comparison_constant)
+from phibvp.linear import DEFAULT_REFINE, _RefinedCumulative
 
 # Closed-form peak of the solution of -phi(u')' = 1 on (0, 1) with zero
 # boundary values, phi the odd power with exponent r:
@@ -68,6 +71,123 @@ class TestPowerOracles:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             solve_linear(make_power(2.0), constant_one(65), tol=0.0)
+
+
+def _bisected_flux_constant(phi, h):
+    """The flux constant by plain bisection, as an oracle for the solver.
+
+    It shares only the discrete boundary functional with ``solve_linear``:
+    the trapezoid integral of phi^{-1}(c - H) on the refined partition.
+    Bisection keeps F(lo) < 0 <= F(hi) down to a two-ulp bracket and takes
+    the end with the smaller |F|.  Returns ``(c, residual)``.
+    """
+    rc = _RefinedCumulative(h.grid, h.values, DEFAULT_REFINE)
+
+    def defect(c):
+        g = phi.inverse(c - rc.cell_H)
+        return float(np.sum(rc.integrate_cells(g))), g
+
+    lo, hi = float(np.min(rc.cell_H)), float(np.max(rc.cell_H))
+    while hi - lo > 2.0 * np.spacing(max(abs(lo), abs(hi))):
+        mid = 0.5 * (lo + hi)
+        if defect(mid)[0] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    (F_lo, g_lo), (F_hi, g_hi) = defect(lo), defect(hi)
+    c, F, g = (lo, F_lo, g_lo) if abs(F_lo) <= abs(F_hi) else (hi, F_hi, g_hi)
+    span = h.grid.b - h.grid.a
+    return c, abs(F) / (span * (1.0 + float(np.max(np.abs(g)))))
+
+
+def _counted_square_root_map(calls):
+    """power:2 with a closed-form inverse that counts its calls."""
+    def inverse_pos(z):
+        calls.append(np.size(z))
+        return np.sqrt(z)
+
+    return Homeomorphism("counted-power:2", lambda y: y * y, inverse_pos)
+
+
+def _bounded():
+    # y / (1 + y): range (-1, 1) and no closed-form inverse.
+    return Homeomorphism("bounded", lambda y: y / (1.0 + y))
+
+
+class TestFluxConstant:
+    CASES = corpus(seed=0, count=40)
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_root_matches_plain_bisection(self, index):
+        _, phi, h = self.CASES[index]
+        profile = solve_linear(phi, h)
+        c, residual = _bisected_flux_constant(phi, h)
+        assert abs(profile.c_star - c) <= 2.0 * np.spacing(abs(c))
+        assert profile.residual <= residual
+
+    def test_inverse_call_budget(self):
+        calls = []
+        phi = _counted_square_root_map(calls)
+        per_solve = []
+        for _, _, h in self.CASES:
+            calls.clear()
+            solve_linear(phi, h)
+            per_solve.append(len(calls))
+        # Plain bisection needs about 55 evaluations of F for each solve.
+        assert np.mean(per_solve) <= 13.0
+        assert max(per_solve) <= 57
+
+    @pytest.mark.parametrize("height", [1.2, 1.4, 1.9])
+    def test_bounded_map_solvable_forcing(self, height):
+        # c* = height / 2 and |c* - H| <= height / 2 < 1, inside the range
+        # of phi, although the bracket [0, height] is not.
+        g = Grid.uniform(0.0, 1.0, 257)
+        h = GridFunction(g, np.full(257, height))
+        phi = _bounded()
+        profile = solve_linear(phi, h)
+        assert profile.c_star == pytest.approx(0.5 * height, rel=1e-9)
+        assert np.all(np.isfinite(profile.du.values))
+        flux = phi.forward(profile.du.values) + height * g.nodes
+        assert np.max(np.abs(flux - profile.c_star)) <= 1e-9
+
+    def test_bounded_map_unsolvable_forcing_raises(self):
+        # A mass of 2.5 needs |c - H| >= 1.25 somewhere for every c.
+        g = Grid.uniform(0.0, 1.0, 257)
+        with pytest.raises(UnboundedInputError, match="flux constant"):
+            solve_linear(_bounded(), GridFunction(g, np.full(257, 2.5)))
+
+
+def test_scaled_bump_property():
+    # For a nonnegative bump h and scales t1 <= t2 in [0.1, 10], each solve
+    # meets its tolerance with zero boundary values, and the solutions
+    # keep the order of the forcings.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    grid = Grid.uniform(0.0, 1.0, 129)
+    x = grid.nodes
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(descriptor=st.sampled_from(CATALOG_DESCRIPTORS),
+                      center=st.floats(0.1, 0.9),
+                      half_width=st.floats(0.025, 0.25),
+                      amplitude=st.floats(0.3, 3.0),
+                      floor=st.floats(0.0, 0.5),
+                      scales=st.lists(st.floats(0.1, 10.0), min_size=2,
+                                      max_size=2))
+    def check(descriptor, center, half_width, amplitude, floor, scales):
+        phi = make_catalog_entry(descriptor)
+        bump = np.maximum(0.0, 1.0 - np.abs(x - center) / half_width)
+        h = amplitude * bump + floor
+        t1, t2 = sorted(scales)
+        tol = 1e-10
+        u1, u2 = (solve_linear(phi, GridFunction(grid, t * h), tol=tol)
+                  for t in (t1, t2))
+        for profile in (u1, u2):
+            assert profile.residual <= tol
+            assert profile.u.values[0] == 0.0 and profile.u.values[-1] == 0.0
+        assert np.all(u1.u.values <= u2.u.values + 1e-8)
+
+    check()
 
 
 class TestOrderAndEnvelopes:
