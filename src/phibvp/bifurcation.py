@@ -10,7 +10,6 @@ of small norm, which the acceptance checks use as a cross-check.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -21,7 +20,7 @@ from .errors import ConstructionError, ConvergenceError
 from .grids import GridFunction, dist_to_boundary, integral, sup_norm, support_data
 from .homeomorphisms import inverse_saturating
 from .linear import SolutionProfile, estimate_comparison_constant
-from .nonlinear import _largest_prefix_valid, scan_shooting
+from .nonlinear import _largest_prefix_valid, _scan, scan_shooting
 from .problems import ProblemSpec, with_lambda
 
 
@@ -119,7 +118,10 @@ def compute_lambda1(spec: ProblemSpec, R: float):
 
 def _exists(spec_template: ProblemSpec, lam: float, s_max: float,
             count: int) -> bool:
-    return bool(scan_shooting(with_lambda(spec_template, lam), s_max, count))
+    """Whether ``scan_shooting`` finds a positive solution at ``lam``,
+    answered by a scan that stops at its first confirmed bracketed root."""
+    return bool(_scan(with_lambda(spec_template, lam), s_max, count,
+                      stop_at_first=True))
 
 
 def lambda_star_bisect(spec_template: ProblemSpec, lo: float, hi: float,
@@ -131,7 +133,8 @@ def lambda_star_bisect(spec_template: ProblemSpec, lo: float, hi: float,
     ``hi``.  Bisection narrows the bracket to relative width ``tol``; the
     estimate is the midpoint.  The parameter range below the estimate is
     then spot-checked for gaps (a failed probe is retried with a four times
-    denser scan before being treated as fatal).
+    denser scan before being treated as fatal).  Every existence check is a
+    scan that stops at its first confirmed bracketed root.
     """
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
@@ -177,28 +180,17 @@ def sweep(spec_template: ProblemSpec, lambda_grid, s_max: float,
           count: int = 60) -> BranchDiagram:
     """Scan every parameter value and assemble the branch diagram.
 
-    Points are scanned in ascending lambda order (optionally in a thread
-    pool sized by the PHI_BVP_THREADS environment variable; results are
-    merged in order either way).  When the solution count drops to zero and
-    stays there, the existence boundary inside the last transition step is
-    located by bisection; interior zero-solution points (gaps) are re-tried
-    with a denser scan and reported as a warning if they persist.
+    Points are scanned in ascending lambda order.  When the solution count
+    drops to zero and stays there, the existence boundary inside the last
+    transition step is located by bisection; interior zero-solution points
+    (gaps) are re-tried with a denser scan and reported as a warning if
+    they persist.
     """
     lams = np.sort(np.asarray(lambda_grid, dtype=float))
     if lams.size == 0 or not np.all(lams > 0.0):
         raise ValueError("lambda grid must be nonempty and positive")
 
-    threads = int(os.environ.get("PHI_BVP_THREADS", "1") or "1")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(
-                lambda lam: _scan_point(spec_template, lam, s_max, count), lams))
-    else:
-        points = [_scan_point(spec_template, lam, s_max, count) for lam in lams]
+    points = [_scan_point(spec_template, lam, s_max, count) for lam in lams]
 
     counts = [len(p.solutions) for p in points]
     nonempty = [i for i, c in enumerate(counts) if c > 0]

@@ -333,6 +333,11 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
     zero), but its first crossing location is recorded and its terminal
     value becomes -(b - x_cross).  Lanes whose state leaves the overflow
     guard freeze at their last finite state.
+
+    The march only notes, per lane, the substep in which it first crosses
+    zero and the state it started that substep from.  The crossings are
+    located after the march, in one batch: 45 halvings of the substep
+    fraction, each one RK4 step over every crossed lane.
     """
     grid = spec.grid
     x = grid.nodes
@@ -355,6 +360,11 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
     crossed = np.zeros(lanes, dtype=bool)
     x_cross = np.full(lanes, np.nan)
     blown = np.zeros(lanes, dtype=bool)
+    # Per lane: the substep (counted over the whole march) in which it
+    # first crosses zero, and its state at the start of that substep.
+    cross_at = np.zeros(lanes, dtype=int)
+    cross_u = np.empty(lanes)
+    cross_z = np.empty(lanes)
 
     if step is None:
         n_sub = 1
@@ -403,20 +413,29 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
 
                 hits = (~blown) & (~crossed) & (u0 >= 0.0) & (u < 0.0)
                 if np.any(hits):
-                    idx = np.flatnonzero(hits)
-                    lo = np.zeros(idx.size)
-                    hi = np.ones(idx.size)
-                    for _ in range(45):
-                        mid = 0.5 * (lo + hi)
-                        um, _ = rk4(u0[idx], z0[idx], mid * h_sub, mc, nc)
-                        above = um >= 0.0
-                        lo = np.where(above, mid, lo)
-                        hi = np.where(above, hi, mid)
-                    theta = 0.5 * (lo + hi)
-                    x_cross[idx] = x[i] + k * h_sub + theta * h_sub
-                    crossed[idx] = True
+                    cross_at[hits] = i * n_sub + k
+                    cross_u[hits] = u0[hits]
+                    cross_z[hits] = z0[hits]
+                    crossed |= hits
             U[:, i + 1] = u
             Z[:, i + 1] = z
+
+        idx = np.flatnonzero(crossed)
+        if idx.size:
+            cell, k = np.divmod(cross_at[idx], n_sub)
+            h = widths[cell] / n_sub
+            u0, z0 = cross_u[idx], cross_z[idx]
+            mc, nc = lm[cell], mn[cell]
+            lo = np.zeros(idx.size)
+            hi = np.ones(idx.size)
+            for _ in range(45):
+                mid = 0.5 * (lo + hi)
+                um, _ = rk4(u0, z0, mid * h, mc, nc)
+                above = um >= 0.0
+                lo = np.where(above, mid, lo)
+                hi = np.where(above, hi, mid)
+            theta = 0.5 * (lo + hi)
+            x_cross[idx] = x[cell] + k * h + theta * h
 
     terminal = np.where(crossed, -(grid.b - x_cross), u)
     return terminal, U, Z, crossed, x_cross, blown
@@ -476,23 +495,47 @@ def shoot(spec: ProblemSpec, s: float, step: Optional[float] = None) -> ShootRes
                        crossed=bool(crossed[0]))
 
 
-def _terminal_only(spec, s_array, step):
-    terminal, _, _, _, _, _ = _shoot_batch(spec, s_array, step)
-    return terminal
+def _positive_row(spec, terminal, u_nodes, z_nodes, crossed, blown,
+                  accept_tol) -> bool:
+    """Whether one marched lane is a positive solution.
+
+    The acceptance rule of every scan: the lane stayed inside the overflow
+    guard, is positive on the interior and has inward end slopes.  A lane
+    that crosses zero passes only when the crossing sits within
+    ``accept_tol`` of the right endpoint, since a refined root may land a
+    hair on the crossing side.
+    """
+    if blown or (crossed and abs(float(terminal)) > accept_tol):
+        return False
+    du_a, du_b = inverse_saturating(spec.phi, z_nodes[[0, -1]])
+    return bool(np.all(u_nodes[1:-1] > 0.0)) and du_a > 0.0 > du_b
 
 
 _REFINE_PROBES = 15
+# A refined root is confirmed when its terminal is within _CONFIRM times
+# the refinement's defect tolerance.
+_CONFIRM = 1e3
 
 
-def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step):
+def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step,
+                     stop_at_first=False):
     """Shrink sign-change brackets in log-s space, batched across brackets.
 
     Each round integrates a batch of interior probes for every active
     bracket in a single marching pass (the pass cost is dominated by the
     cell loop, not by the lane count) and keeps the sub-interval where the
     terminal value changes sign, narrowing every bracket by a factor of
-    ``_REFINE_PROBES + 1`` per pass.
+    ``_REFINE_PROBES + 1`` per pass.  A bracket stops once its best probe
+    is within ``defect_tol``.
+
+    Returns (best_s, best_f, first).  With ``stop_at_first`` set, every
+    pass also screens its probes, all of which lie inside sign-change
+    brackets: the first one within the confirmation threshold
+    ``_CONFIRM * defect_tol`` whose marched row ``_positive_row`` accepts
+    ends the search, and ``first`` is that row's profile.  Otherwise
+    ``first`` is None.
     """
+    accept_tol = _CONFIRM * defect_tol
     la = np.log(s_lo)
     lb = np.log(s_hi)
     fa = f_lo.copy()
@@ -508,7 +551,13 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step):
             break
         lc = la[idx, None] + (lb - la)[idx, None] * frac[None, :]
         s_c = np.exp(lc)
-        f_c = _terminal_only(spec, s_c.ravel(), step).reshape(s_c.shape)
+        terminal, U, Z, crossed, _, blown = _shoot_batch(spec, s_c.ravel(), step)
+        if stop_at_first:
+            for j in np.flatnonzero(np.abs(terminal) <= accept_tol):
+                if _positive_row(spec, terminal[j], U[j], Z[j], crossed[j],
+                                 blown[j], accept_tol):
+                    return best_s, best_f, _profile_from_shot(spec, U[j], Z[j])
+        f_c = terminal.reshape(s_c.shape)
 
         # Chain endpoint values onto the probe values, then keep the first
         # sign-change cell of each chain as the new bracket.
@@ -518,13 +567,13 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step):
         chain_fr = np.concatenate([f_c, fb[idx, None]], axis=1)
         flips = chain_fl * chain_fr <= 0.0
         has_flip = np.any(flips, axis=1)
-        first = np.argmax(flips, axis=1)
+        cut = np.argmax(flips, axis=1)
         rows = np.arange(idx.size)
 
-        la[idx] = chain_l[rows, first]
-        fa[idx] = chain_fl[rows, first]
-        lb[idx] = chain_r[rows, first]
-        fb[idx] = chain_fr[rows, first]
+        la[idx] = chain_l[rows, cut]
+        fa[idx] = chain_fl[rows, cut]
+        lb[idx] = chain_r[rows, cut]
+        fb[idx] = chain_fr[rows, cut]
 
         flat_best = np.argmin(np.abs(f_c), axis=1)
         cand_f = f_c[rows, flat_best]
@@ -538,7 +587,7 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step):
                 | (np.abs(lb[idx] - la[idx]) < 1e-14))
         active[idx[done]] = False
 
-    return best_s, best_f
+    return best_s, best_f, None
 
 
 def scan_shooting(spec: ProblemSpec, s_max: float, count: int = 60,
@@ -552,23 +601,36 @@ def scan_shooting(spec: ProblemSpec, s_max: float, count: int = 60,
     roots, and keeps only profiles positive on the interior with inward
     boundary slopes.  Sorted by sup-norm; an empty list is a valid outcome.
     """
+    return _scan(spec, s_max, count, defect_tol, step)
+
+
+def _scan(spec, s_max, count, defect_tol=None, step=None,
+          stop_at_first=False):
+    """Body of ``scan_shooting``.  With ``stop_at_first`` set it serves
+    existence checks: the refinement ends at the first confirmed bracketed
+    root, whose profile comes back alone.  A scan that confirms no probe
+    during the refinement finishes as ``scan_shooting`` does."""
     if not (s_max > 0.0 and count >= 2):
         raise ValueError("need s_max > 0 and count >= 2")
     span = spec.grid.b - spec.grid.a
     if defect_tol is None:
         defect_tol = 1e-10 * span
+    accept_tol = _CONFIRM * defect_tol
 
     s_grid = np.geomspace(s_max * 1e-12, s_max, count)
-    terminal = _terminal_only(spec, s_grid, step)
+    terminal = _shoot_batch(spec, s_grid, step)[0]
 
     sign_change = terminal[:-1] * terminal[1:] < 0.0
     lo_idx = np.flatnonzero(sign_change)
     roots = list(s_grid[np.flatnonzero(terminal == 0.0)])
     if lo_idx.size:
-        best_s, best_f = _refine_brackets(
+        best_s, best_f, first = _refine_brackets(
             spec, s_grid[lo_idx], s_grid[lo_idx + 1],
-            terminal[lo_idx], terminal[lo_idx + 1], defect_tol, step)
-        confirmed = np.abs(best_f) <= 1e3 * defect_tol
+            terminal[lo_idx], terminal[lo_idx + 1], defect_tol, step,
+            stop_at_first)
+        if first is not None:
+            return [first]
+        confirmed = np.abs(best_f) <= accept_tol
         roots.extend(best_s[confirmed])
 
     roots = sorted(float(r) for r in roots)
@@ -581,18 +643,9 @@ def scan_shooting(spec: ProblemSpec, s_max: float, count: int = 60,
         return []
 
     final_term, U, Z, crossed, _, blown = _shoot_batch(spec, np.asarray(deduped), step)
-    profiles = []
-    for row, (u_nodes, z_nodes) in enumerate(zip(U, Z)):
-        if blown[row]:
-            continue
-        # A refined root may land a hair on the crossing side; keep it when
-        # the crossing sits within the acceptance tolerance of the endpoint.
-        if crossed[row] and abs(float(final_term[row])) > 1e3 * defect_tol:
-            continue
-        profile = _profile_from_shot(spec, u_nodes, z_nodes)
-        du = profile.du.values
-        interior_positive = bool(np.all(u_nodes[1:-1] > 0.0))
-        if interior_positive and du[0] > 0.0 > du[-1]:
-            profiles.append(profile)
+    profiles = [_profile_from_shot(spec, U[row], Z[row])
+                for row in range(len(deduped))
+                if _positive_row(spec, final_term[row], U[row], Z[row],
+                                 crossed[row], blown[row], accept_tol)]
     profiles.sort(key=lambda p: sup_norm(p.u))
     return profiles

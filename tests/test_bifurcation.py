@@ -7,7 +7,11 @@ import pytest
 from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
                     Grid, GridFunction, ProblemSpec, SolutionProfile,
                     check_cone_membership, compute_lambda1,
-                    lambda_star_bisect, make_power, solve_linear, sweep)
+                    lambda_star_bisect, make_power, scan_shooting,
+                    solve_linear, sweep, with_lambda)
+from phibvp.bifurcation import _exists
+
+LAMBDA_STAR = 11.398896
 
 
 def reference_spec(lam=0.5, n_nodes=257):
@@ -20,14 +24,6 @@ def reference_spec(lam=0.5, n_nodes=257):
         g1_constants=G1Constants(1.0, 1.0, 2.0),
         g2_constants=G2Constants(1.0, 1.0, 2.0),
     )
-
-
-def state_free_spec(n_nodes=129):
-    g = Grid.uniform(0.0, 1.0, n_nodes)
-    ones = GridFunction(g, np.ones(n_nodes))
-    return ProblemSpec(
-        grid=g, phi=make_power(1.0), m=ones, n=ones, lam=1.0, mu=1.0,
-        f=lambda t: np.ones_like(t), g=lambda t: np.zeros_like(t))
 
 
 class TestConeMembership:
@@ -99,6 +95,19 @@ class TestLambdaStarBisect:
         assert 10.5 < estimate < 12.5
 
 
+class TestExistence:
+    # The existence check stops at its first confirmed bracketed root; it
+    # must still agree with the full scan, on both sides of the fold and
+    # within 6e-4 of it.
+    @pytest.mark.parametrize("lam", np.concatenate([
+        np.geomspace(0.05, 30.0, 12),
+        LAMBDA_STAR * np.linspace(1.0 - 6e-4, 1.0 + 1e-4, 12)]))
+    def test_matches_the_full_scan(self, lam):
+        spec = reference_spec(n_nodes=129)
+        full = scan_shooting(with_lambda(spec, lam), s_max=100.0, count=60)
+        assert _exists(spec, lam, 100.0, 60) == bool(full)
+
+
 class TestSweep:
     def test_two_branches_below_the_fold(self):
         diagram = sweep(reference_spec(n_nodes=129), [0.05, 0.5],
@@ -134,10 +143,3 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(reference_spec(n_nodes=129), [0.0, 1.0], s_max=10.0)
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        spec = state_free_spec()
-        lams = [0.5, 1.0, 2.0]
-        serial = sweep(spec, lams, s_max=10.0, count=30)
-        monkeypatch.setenv("PHI_BVP_THREADS", "0")
-        pooled = sweep(spec, lams, s_max=10.0, count=30)
-        assert serial.points == pooled.points

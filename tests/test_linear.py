@@ -33,6 +33,18 @@ class TestPowerOracles:
         expected = PEAK_BY_EXPONENT[r]
         assert sup_norm(profile.u) == pytest.approx(expected, rel=1e-6)
 
+    # The trapezoid rule on the endpoint singularity (c - H)^(1/r), where
+    # u' changes sign at the peak, converges at order 1 + 1/r for r > 1.
+    @pytest.mark.parametrize("r, order", [(0.5, 2.0), (2.0, 1.5),
+                                          (3.0, 4.0 / 3.0)])
+    def test_peak_converges_at_the_expected_order(self, r, order):
+        errors = np.array([
+            abs(sup_norm(solve_linear(make_power(r), constant_one(n)).u)
+                - PEAK_BY_EXPONENT[r])
+            for n in (65, 129, 257, 513, 1025)])
+        observed = np.log2(errors[:-1] / errors[1:])
+        assert np.all(np.abs(observed - order) <= 0.1), observed
+
     @pytest.mark.parametrize("r", sorted(PEAK_BY_EXPONENT))
     def test_flux_constant_is_half_total_mass(self, r):
         # Symmetric forcing pins phi(u') = c - H with c = H(b) / 2.

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
-                    Grid, GridFunction, ProblemSpec, SolutionProfile,
-                    build_subsolution, build_supersolution, make_power,
-                    make_sub_super_pair, scan_shooting, shoot, solve_between,
-                    solve_linear, sup_norm, verify_subsolution,
+                    Grid, GridFunction, Homeomorphism, ProblemSpec,
+                    SolutionProfile, build_subsolution, build_supersolution,
+                    make_power, make_sub_super_pair, scan_shooting, shoot,
+                    solve_between, solve_linear, sup_norm, verify_subsolution,
                     verify_supersolution, with_lambda)
+from phibvp.nonlinear import _shoot_batch
 
 
 def reference_spec(lam=0.5, n_nodes=257):
@@ -216,6 +219,36 @@ class TestShooting:
         assert low.crossed
         assert low.terminal == pytest.approx(-0.6, abs=1e-9)
 
+    @pytest.mark.parametrize("step", [None, 1e-3])
+    def test_batched_crossings_match_closed_form(self, step):
+        # One batch whose lanes cross zero at x = 2 s in 24 different
+        # cells; RK4 is exact on the quadratic, so every terminal
+        # -(1 - 2 s) is limited only by the crossing bisection.
+        slopes = np.linspace(0.021, 0.479, 24)
+        terminal, _, _, crossed, x_cross, blown = _shoot_batch(
+            constant_rhs_spec(129), slopes, step)
+        assert np.all(crossed) and not np.any(blown)
+        assert np.unique(np.floor(x_cross * 128.0)).size == slopes.size
+        assert np.max(np.abs(terminal + (1.0 - 2.0 * slopes))) <= 1e-9
+
+    def test_crossings_cost_one_bisection_per_march(self):
+        # Four inverse calls per RK4 step: one step per cell, and the 45
+        # halvings that locate every lane's crossing run once per march.
+        calls = []
+
+        def inverse_pos(z):
+            calls.append(1)
+            return z
+
+        spec = replace(reference_spec(lam=11.0, n_nodes=129),
+                       phi=Homeomorphism("counted-power:1", lambda y: y,
+                                         inverse_pos))
+        _, _, _, crossed, x_cross, _ = _shoot_batch(
+            spec, np.geomspace(1e-10, 100.0, 60))
+        cells = spec.grid.count - 1
+        assert np.unique(np.floor(x_cross[crossed] * cells)).size > 1
+        assert len(calls) <= 4 * (cells + 45) + 4
+
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(ValueError):
             shoot(constant_rhs_spec(65), 0.0)
@@ -244,3 +277,20 @@ class TestShooting:
     def test_scan_parameters_validated(self):
         with pytest.raises(ValueError):
             scan_shooting(constant_rhs_spec(65), s_max=0.0)
+
+
+class TestConvergenceOrder:
+    def test_picard_against_shooting_is_second_order(self):
+        # Both discretizations converge to the small branch at lambda = 0.5;
+        # the sup-norm gap between them shrinks fourfold per grid halving.
+        gaps = []
+        for n_nodes in (129, 257, 513, 1025):
+            spec = reference_spec(lam=0.5, n_nodes=n_nodes)
+            pair = make_sub_super_pair(spec)
+            picard = solve_between(spec, pair.sub, pair.super, tol=1e-13)
+            shot = min(scan_shooting(spec, s_max=100.0, count=60),
+                       key=lambda p: sup_norm(p.u))
+            gaps.append(float(np.max(np.abs(picard.u.values
+                                            - shot.u.values))))
+        orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+        assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
