@@ -294,6 +294,11 @@ def inverse_saturating(phi: "Homeomorphism", z):
     return _evaluate(_odd_inverse_fn(phi, "inf"), z)
 
 
+# Where the table measures each segment's overshoot, as fractions of the
+# segment in log t.
+_TABLE_SAMPLES = np.array([0.25, 0.5, 0.75])
+
+
 class _InverseTable:
     """Fast monotone approximation of a positive-branch inverse.
 
@@ -302,12 +307,18 @@ class _InverseTable:
     tabulates the forward map on a geometric grid spanning the probe ladder,
     up to the certified numeric root of ``z_max`` (secant with residual and
     x-bracket checks, else bisection), and interpolates the inverse in
-    log-log coordinates.  The approximation is itself increasing,
-    so order relations survive; arguments below the table floor clamp to 0
-    and arguments above the table ceiling clamp to the top entry, which
-    under-estimates the true inverse and keeps certified bounds
-    conservative.  Used only inside inner loops where one certified root
-    solve per evaluation would dominate the runtime.
+    log-log coordinates.  Log-log interpolation overshoots where the inverse
+    is convex in those coordinates (by 2e-2 relative near z = 1 for xlog,
+    whose inverse has a vertical tangent there), so each segment's
+    overshoot is measured when the table is built, at three points inside
+    it whose images the forward map gives, and both nodes are lowered by
+    twice the larger overshoot of their two segments.  The
+    approximation stays increasing, so order relations survive, and lies
+    below the certified inverse; arguments below the table floor clamp to
+    0 and arguments above the table ceiling clamp to the top entry, which
+    under-estimates the true inverse too.  Used only inside inner loops
+    where one certified root solve per evaluation would dominate the
+    runtime.
     """
 
     def __init__(self, phi: Homeomorphism, z_max: float, points: int = 4096):
@@ -329,8 +340,24 @@ class _InverseTable:
         t, z = t[keep], z[keep]
         if t.size < 2:
             raise ValueError("forward map not tabulable on the requested range")
-        self._log_t = np.log(t)
-        self._log_z = np.log(z)
+        log_t, log_z = np.log(t), np.log(z)
+        # The table at the image of a point inside a segment, against the
+        # point itself.
+        s = np.exp(log_t[:-1, None] + np.diff(log_t)[:, None] * _TABLE_SAMPLES)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            z_s = np.asarray(phi._forward_pos(s.ravel()), dtype=float)
+            over = np.max(np.interp(np.log(z_s), log_z, log_t).reshape(s.shape)
+                          - np.log(s), axis=1)
+        # The engine certifies its roots to _BRACKET_REL, so no segment is
+        # lowered by less than that.
+        over = np.maximum(over, _BRACKET_REL)
+        drop = np.zeros(t.size)
+        drop[:-1] = over
+        drop[1:] = np.maximum(drop[1:], over)
+        # Lowering nodes by different amounts could break monotonicity; a
+        # running minimum from the top restores it and only lowers further.
+        self._log_t = np.minimum.accumulate((log_t - 2.0 * drop)[::-1])[::-1]
+        self._log_z = log_z
         self._z_floor = z[0]
 
     def __call__(self, z):

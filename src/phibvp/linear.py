@@ -15,12 +15,19 @@ comparison constant c with
 
     min of the two one-sided integrals of phi^{-1}(M * mass) >= c phi^{-1}(cM)
 
-uniformly over a grid of M values.
+uniformly over a grid of M values.  The largest such c on each M comes
+from a monotone forward equation, with no inverse evaluations.  A bound
+chain runs several of these on one forcing, so a one-entry memo keeps what
+they share: the one-sided partitions, the inverse table, the left-hand
+sides by M grid and the last solution.  It holds one map and one forcing
+at a time (per thread), and every result equals a fresh computation bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +36,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConvergenceError, UnboundedInputError
 from .grids import (Grid, GridFunction, dist_to_boundary, require_same_grid,
                     support_data)
-from .homeomorphisms import Homeomorphism, _InverseTable, inverse_saturating
+from .homeomorphisms import (Homeomorphism, _InverseTable, _midpoint,
+                             inverse_saturating)
 
+DEFAULT_TOL = 1e-10
 DEFAULT_REFINE = 16
 
-# The one-sided integrals in the comparison-constant estimate go through a
-# tabulated inverse; this deflation keeps the certified value conservative
-# with respect to the tabulation error.
+# The one-sided integrals in the comparison-constant estimate go through
+# ``_InverseTable``, which lies below phi^{-1} by construction.  This
+# deflation is a further safety margin on top of that, before the 0.999
+# shave and the fine-grid back-off of the estimate.
 _TABLE_MARGIN = 1e-3
 
 # Steps allowed to the flux-constant search; its midpoint rule makes this
@@ -188,7 +198,7 @@ def _flux_root(defect, lo, hi):
     return min(lo_end, hi_end, key=lambda end: abs(end[1]))
 
 
-def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = 1e-10,
+def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = DEFAULT_TOL,
                  refine: int = DEFAULT_REFINE) -> SolutionProfile:
     """Solve -phi(u')' = h with zero boundary values.
 
@@ -247,6 +257,8 @@ def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = 1e-10,
     # The boundary values are data; the leftover defect of the flux
     # constant stays in ``residual`` rather than polluting the profile.
     u_values[-1] = 0.0
+    # GridFunction copies its values, so the memo's array is its own.
+    _certificate(phi, h).solved = (tol, refine, u_values)
     return SolutionProfile(
         u=GridFunction(grid, u_values),
         du=GridFunction(grid, g[::refine]),
@@ -317,13 +329,19 @@ def envelope_bounds(phi: Homeomorphism, h: GridFunction):
 
 def cone_lower_bound(phi: Homeomorphism, h: GridFunction,
                      slack: float = 0.0) -> bool:
-    """Check u >= theta_under * ||u|| * delta pointwise for u solving with h."""
-    profile = solve_linear(phi, h)
+    """Check u >= theta_under * ||u|| * delta pointwise for u solving with h.
+
+    u is the solution ``solve_linear(phi, h)`` gives with its default
+    arguments; when the caller has just computed it, it comes from the memo.
+    """
+    u = _certificate(phi, h).solution(DEFAULT_TOL, DEFAULT_REFINE)
+    if u is None:
+        u = solve_linear(phi, h).u.values
     sd = support_data(h)
     delta = dist_to_boundary(h.grid)
-    norm = float(np.max(np.abs(profile.u.values)))
+    norm = float(np.max(np.abs(u)))
     floor = sd.theta_under * norm * delta.values
-    return bool(np.all(profile.u.values >= floor - slack))
+    return bool(np.all(u >= floor - slack))
 
 
 class _ComparisonData:
@@ -359,6 +377,59 @@ class _ComparisonData:
         return out * (1.0 - _TABLE_MARGIN)
 
 
+class _Certificate:
+    """What the bound chain derives from one map and one forcing.
+
+    Filled in as it is asked for: the one-sided partitions, the inverse
+    table for one ceiling with the left-hand sides it gave by M grid (a new
+    ceiling replaces both), and the nodal values of the last
+    ``solve_linear`` with its ``(tol, refine)``.
+    """
+
+    def __init__(self, phi: Homeomorphism, key: tuple):
+        self.phi = phi
+        self.key = key
+        self.data = None
+        self.ceiling = None
+        self.table = None
+        self.lhs_by_grid = {}
+        self.solved = None
+
+    def lhs(self, h: GridFunction, M: np.ndarray, ceiling: float) -> np.ndarray:
+        """The comparison LHS on the grid M, with the table up to ``ceiling``."""
+        if ceiling != self.ceiling:
+            if self.data is None:
+                self.data = _ComparisonData(self.phi, h)
+            self.table = self.data.make_table(ceiling)
+            self.ceiling = ceiling
+            self.lhs_by_grid = {}
+        key = M.tobytes()
+        if key not in self.lhs_by_grid:
+            self.lhs_by_grid[key] = self.data.lhs_values(M, self.table)
+        return self.lhs_by_grid[key]
+
+    def solution(self, tol: float, refine: int):
+        """The nodal values of the remembered solve, if it used these
+        arguments, else None."""
+        if self.solved is not None and self.solved[:2] == (tol, refine):
+            return self.solved[2]
+        return None
+
+
+# One entry per thread, so that no two threads share an entry's table.
+_memo = threading.local()
+
+
+def _certificate(phi: Homeomorphism, h: GridFunction) -> _Certificate:
+    """The memo's entry for ``(phi, h)``, replacing the entry when the map
+    is another object or the bytes of h's nodes or values differ."""
+    key = (h.grid.nodes.tobytes(), h.values.tobytes())
+    entry = getattr(_memo, "entry", None)
+    if entry is None or entry.phi is not phi or entry.key != key:
+        entry = _memo.entry = _Certificate(phi, key)
+    return entry
+
+
 def _refined_M_grid(M_grid: np.ndarray) -> np.ndarray:
     lo, hi = float(M_grid[0]), float(M_grid[-1])
     if hi == lo:
@@ -381,39 +452,82 @@ def _normalized_M_grid(M_grid) -> np.ndarray:
     return arr
 
 
+def _forward_root_constant(phi, lhs, M_values) -> float:
+    """The largest c with c phi^{-1}(c M) <= LHS(M) on every lane, from
+    forward calls only; inf when no lane constrains c.
+
+    c phi^{-1}(c M) = L holds exactly when t phi(t) = L M and c = phi(t) / M,
+    and t phi(t) increases.  Each lane's t is bracketed on the probe ladder,
+    whose products px * pv increase, and bisected 64 times, which reaches
+    adjacent floats.  The lower end, whose product stays below L M, gives
+    the lane's c, so c errs low.  A lane whose target is not finite or lies
+    past the ladder's last finite product does not constrain c.
+    """
+    forward = phi._forward_pos
+    px, pv = phi._probe_ladder()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pp = px * pv
+        usable = np.isfinite(pp) & (pp > 0.0)
+        px, pp = px[usable], pp[usable]
+        target = lhs * M_values
+        bound = np.isfinite(target) & (target <= pp[-1])
+        if not np.any(bound):
+            return math.inf
+        target, M_values = target[bound], M_values[bound]
+        idx = np.searchsorted(pp, target, side="left")
+        lo = np.where(idx == 0, 0.0, px[np.maximum(idx - 1, 0)])
+        hi = px[idx]
+        for _ in range(64):
+            mid = _midpoint(lo, hi)
+            below = mid * np.asarray(forward(mid), dtype=float) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return float(np.min(np.asarray(forward(lo), dtype=float) / M_values))
+
+
+def _bisected_constant(phi, lhs, M_values, lo, hi) -> float:
+    """The largest c in [lo, hi] that passes, to 60 halvings; lo passes."""
+    if _comparison_holds(phi, lhs, hi, M_values):
+        return hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _comparison_holds(phi, lhs, mid, M_values):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
                                  M_grid=None) -> float:
     """Largest c in (1e-12, 1e6] with LHS(M) >= c * phi^{-1}(c M) on the grid.
 
     LHS(M) is the smaller of the two one-sided integrals of
     phi^{-1}(M * accumulated mass of h) around the support midpoint.  The
-    search bisects on c (the constraint set is a downward-closed interval),
-    shaves the result slightly, and only returns values re-verified on a
-    tenfold finer M grid spanning the same range, backing off if needed.
-    Raises ``ValueError`` when no constant in the search range passes.
+    largest c on each M solves a monotone forward equation (see
+    ``_forward_root_constant``), and c is the smallest of them, capped at
+    1e6; should that c fail the check on the grid, a 60-step bisection on c
+    (the constraint set is a downward-closed interval) replaces it.  The
+    result is shaved slightly, and only values re-verified on a tenfold
+    finer M grid spanning the same range are returned, backing off if
+    needed.  Raises ``ValueError`` when no constant in the search range
+    passes.
     """
     M = _normalized_M_grid(M_grid)
-    data = _ComparisonData(phi, h)
-    table = data.make_table(float(M[-1]))
-    lhs = data.lhs_values(M, table)
+    ceiling = float(M[-1])
+    cert = _certificate(phi, h)
+    lhs = cert.lhs(h, M, ceiling)
 
     lo, hi = 1e-12, 1e6
     if not _comparison_holds(phi, lhs, lo, M):
         raise ValueError("no comparison constant in (1e-12, 1e6] certifies the bound")
-    if _comparison_holds(phi, lhs, hi, M):
-        c = hi
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _comparison_holds(phi, lhs, mid, M):
-                lo = mid
-            else:
-                hi = mid
-        c = lo
+    c = min(_forward_root_constant(phi, lhs, M), hi)
+    if not (c >= lo and _comparison_holds(phi, lhs, c, M)):
+        c = _bisected_constant(phi, lhs, M, lo, hi)
     c *= 0.999
 
     fine = _refined_M_grid(M)
-    lhs_fine = data.lhs_values(fine, table)
+    lhs_fine = cert.lhs(h, fine, ceiling)
     for _ in range(40):
         if _comparison_holds(phi, lhs_fine, c, fine):
             return float(c)
@@ -425,7 +539,5 @@ def verify_comparison_constant(phi: Homeomorphism, h: GridFunction, c: float,
                                M_grid) -> bool:
     """Re-check the comparison inequality for a given constant on a given grid."""
     M = _normalized_M_grid(M_grid)
-    data = _ComparisonData(phi, h)
-    table = data.make_table(float(M[-1]))
-    lhs = data.lhs_values(M, table)
+    lhs = _certificate(phi, h).lhs(h, M, float(M[-1]))
     return _comparison_holds(phi, lhs, c, M)

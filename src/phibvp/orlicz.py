@@ -69,9 +69,14 @@ def growth_ratio(phi: Homeomorphism, t: float, x_grid=None) -> float:
     x = np.asarray(x_grid, dtype=float)
     if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("x_grid must be positive and finite")
+    return _sampled_ratio(phi, t, x, np.asarray(phi.forward(x), dtype=float))
+
+
+def _sampled_ratio(phi: Homeomorphism, t: float, x: np.ndarray,
+                   den: np.ndarray) -> float:
+    """``growth_ratio`` on a checked grid x, given den = phi(x)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         num = np.asarray(phi.forward(t * x), dtype=float)
-        den = np.asarray(phi.forward(x), dtype=float)
         valid = (np.isfinite(num) & ((num == 0.0) | (num >= _TINY_NORMAL))
                  & np.isfinite(den) & (den >= _TINY_NORMAL))
         if not np.any(valid):
@@ -124,10 +129,11 @@ def estimate_indices(phi: Homeomorphism, k_min: int = 12, k_max: int = 40,
         raise ValueError("need 1 <= k_min < k_max and at least two fit points")
     fit_points = min(fit_points, k_max - k_min + 1)
     grid = representable_x_grid(phi)
+    den = np.asarray(phi.forward(grid), dtype=float)
     ks = np.arange(k_min, k_max + 1)
 
-    m_small = np.array([growth_ratio(phi, 2.0 ** (-k), grid) for k in ks])
-    m_large = np.array([growth_ratio(phi, 2.0 ** k, grid) for k in ks])
+    m_small = np.array([_sampled_ratio(phi, 2.0 ** (-k), grid, den) for k in ks])
+    m_large = np.array([_sampled_ratio(phi, 2.0 ** k, grid, den) for k in ks])
 
     ln_t_small = -ks * _LN2
     alpha_raw, alpha_rms = _ls_slope(ln_t_small[-fit_points:],

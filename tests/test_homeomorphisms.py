@@ -6,6 +6,7 @@ import pytest
 from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, UnboundedInputError,
                     inverse_homeomorphism, inverse_saturating,
                     make_catalog_entry, make_power, numeric_inverse)
+from phibvp.homeomorphisms import _RESIDUAL_TOL, _InverseTable
 
 ALL_ENTRIES = [make_catalog_entry(d) for d in CATALOG_DESCRIPTORS]
 
@@ -274,3 +275,43 @@ class TestInverseHomeomorphism:
         inv = inverse_homeomorphism(entry)
         y = np.geomspace(1e-3, 1e3, 25)
         assert np.allclose(inv.forward(entry.forward(y)), y, rtol=1e-8)
+
+
+_NUMERIC_CATALOG = [d for d in CATALOG_DESCRIPTORS if d in _NO_CLOSED_FORM]
+
+
+def test_numeric_inverse_properties():
+    # The certified engine on the catalog maps without a closed-form
+    # inverse: odd to the bit, monotone, and phi(phi^{-1}(y)) within the
+    # engine's residual tolerance, on magnitudes from 1e-300 to 1e300.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    assert len(_NUMERIC_CATALOG) == 4
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(descriptor=st.sampled_from(_NUMERIC_CATALOG),
+                      exponents=st.lists(st.floats(-300.0, 300.0), min_size=2,
+                                         max_size=2))
+    def check(descriptor, exponents):
+        phi = make_catalog_entry(descriptor)
+        y = np.sort(10.0 ** np.array(exponents))
+        x = numeric_inverse(phi, np.concatenate((y, -y)))
+        assert np.array_equal(x[2:], -x[:2])
+        assert 0.0 < x[0] <= x[1]
+        back = phi.forward(x[:2])
+        assert np.all(np.abs(back - y) <= _RESIDUAL_TOL * (1.0 + y))
+
+    check()
+
+
+class TestInverseTable:
+    @pytest.mark.parametrize("descriptor", _NUMERIC_CATALOG)
+    @pytest.mark.parametrize("z_max", [1e-2, 1.0, 1e4])
+    def test_table_stays_below_the_certified_inverse(self, descriptor, z_max):
+        # Log-log interpolation overshoots where phi^{-1} is convex in those
+        # coordinates, by up to 2.7e-2 relative near z = 1 for xlog.
+        phi = make_catalog_entry(descriptor)
+        table = _InverseTable(phi, z_max)
+        z = np.concatenate((np.geomspace(1e-300, 2.0 * z_max, 40001),
+                            np.linspace(0.9, 1.1, 20001)))
+        assert np.all(table(z) <= numeric_inverse(phi, z))

@@ -54,6 +54,20 @@ class TestGrowthRatio:
         with pytest.raises(ValueError):
             growth_ratio(make_power(2.0), 2.0, x_grid=[0.0, 1.0])
 
+    def test_estimate_evaluates_phi_on_its_grid_once(self):
+        # One forward call builds the probe ladder, one evaluates phi on the
+        # x grid, and each of the 58 dyadic samples of the ratio makes one.
+        base = make_catalog_entry("sum-powers:3,1.5")
+        calls = []
+
+        def counting(y):
+            calls.append(np.size(y))
+            return base._forward_pos(y)
+
+        estimate = estimate_indices(Homeomorphism("counted", counting))
+        assert len(calls) == 2 + 2 * (40 - 12 + 1)
+        assert estimate == estimate_indices(base)
+
 
 class TestIndexEstimates:
     @pytest.mark.parametrize("descriptor", sorted(BATTERY))

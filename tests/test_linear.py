@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,12 @@ from phibvp import (CATALOG_DESCRIPTORS, ConvergenceError, Grid,
                     GridFunction, Homeomorphism, UnboundedInputError,
                     cone_lower_bound, corpus,
                     envelope_bounds, estimate_comparison_constant,
-                    make_catalog_entry, make_power, monotone_check,
-                    solve_linear, sup_norm, sup_norm_lower_bound,
-                    verify_comparison_constant)
-from phibvp.linear import DEFAULT_REFINE, _RefinedCumulative
+                    inverse_saturating, make_catalog_entry, make_power,
+                    monotone_check, solve_linear, sup_norm,
+                    sup_norm_lower_bound, verify_comparison_constant)
+from phibvp import homeomorphisms
+from phibvp.linear import (DEFAULT_REFINE, _certificate, _ComparisonData,
+                           _forward_root_constant, _RefinedCumulative)
 
 # Closed-form peak of the solution of -phi(u')' = 1 on (0, 1) with zero
 # boundary values, phi the odd power with exponent r:
@@ -280,3 +285,199 @@ class TestComparisonConstant:
         with pytest.raises(ValueError):
             estimate_comparison_constant(make_power(1.0), constant_one(65),
                                          M_grid=[0.0, 1.0])
+
+
+_FINE_M = np.geomspace(1e-4, 1e4, 331)
+
+
+def _fresh(descriptor):
+    """A new map object, which no memo entry can hold."""
+    return make_catalog_entry(descriptor)
+
+
+def _holds(phi, lhs, c, M):
+    with np.errstate(over="ignore"):
+        return bool(np.all(lhs >= c * inverse_saturating(phi, c * M)))
+
+
+def _bisected_comparison_constant(phi, h):
+    """The comparison constant by the bisection on c the estimate used to
+    run: 60 halvings of [1e-12, 1e6], the 0.999 shave and the back-off on
+    the tenfold finer grid, on the estimate's own tabulated LHS.  Returns
+    the constant before and after shave and back-off."""
+    M = np.geomspace(1e-4, 1e4, 33)
+    fine = np.geomspace(1e-4, 1e4, 331)
+    data = _ComparisonData(phi, h)
+    table = data.make_table(M[-1])
+    lhs, lhs_fine = data.lhs_values(M, table), data.lhs_values(fine, table)
+    lo, hi = 1e-12, 1e6
+    if _holds(phi, lhs, hi, M):
+        lo = hi
+    else:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _holds(phi, lhs, mid, M):
+                lo = mid
+            else:
+                hi = mid
+    c = lo * 0.999
+    while not _holds(phi, lhs_fine, c, fine):
+        c *= 0.95
+    return lo, c, (M, lhs), (fine, lhs_fine)
+
+
+def _exact_lhs(phi, h, M):
+    """The comparison LHS with the certified inverse in place of the table,
+    on the same partitions."""
+    data = _ComparisonData(phi, h)
+    return np.array([min(data.wl @ phi.inverse(m * data.dl),
+                         data.wr @ phi.inverse(m * data.dr)) for m in M])
+
+
+def _chain(phi, h):
+    profile = solve_linear(phi, h)
+    slack = 1e-8 * (1.0 + sup_norm(profile.u))
+    cone = cone_lower_bound(phi, h, slack)
+    c = estimate_comparison_constant(phi, h)
+    return c, verify_comparison_constant(phi, h, c, _FINE_M), cone, slack
+
+
+class TestComparisonCertificate:
+    CASES = corpus(seed=0, count=40)
+
+    def test_memo_is_invisible(self):
+        # Every call below on a fresh map object misses the memo, so it
+        # computes from scratch what the chain read from it.
+        for descriptor, phi, h in self.CASES:
+            c, recheck, cone, slack = _chain(phi, h)
+            assert estimate_comparison_constant(_fresh(descriptor), h) == c
+            assert verify_comparison_constant(_fresh(descriptor), h, c,
+                                              _FINE_M) == recheck
+            assert cone_lower_bound(_fresh(descriptor), h, slack) == cone
+
+    def test_memo_misses_another_map_object(self):
+        _, phi, h = self.CASES[0]
+        entry = _certificate(phi, h)
+        assert _certificate(phi, h) is entry
+        other = _certificate(_fresh(self.CASES[0][0]), h)
+        assert other is not entry and other.lhs_by_grid == {}
+
+    def test_memo_misses_a_forcing_changed_in_place(self):
+        descriptor, _, h0 = self.CASES[1]
+        h = GridFunction(h0.grid, h0.values)
+        phi = _fresh(descriptor)
+        c_before = estimate_comparison_constant(phi, h)
+        entry = _certificate(phi, h)
+        h.values.setflags(write=True)
+        h.values[:] *= 3.0
+        assert _certificate(phi, h) is not entry
+        c_after = estimate_comparison_constant(phi, h)
+        assert c_after != c_before
+        assert c_after == estimate_comparison_constant(_fresh(descriptor), h)
+
+    def test_memo_misses_another_M_grid(self):
+        descriptor, phi, h = self.CASES[2]
+        c = 0.5 * estimate_comparison_constant(phi, h)
+        same_ceiling = np.geomspace(1e-4, 1e4, 34)
+        narrow = np.geomspace(1e-2, 1e2, 33)
+        expected = [verify_comparison_constant(_fresh(descriptor), h, c, M)
+                    for M in (same_ceiling, narrow)]
+        estimate_comparison_constant(phi, h)
+        entry = _certificate(phi, h)
+        grids = set(entry.lhs_by_grid)
+        assert same_ceiling.tobytes() not in grids
+        # The same ceiling keeps the table; a new grid gets its own LHS.
+        assert verify_comparison_constant(phi, h, c, same_ceiling) == expected[0]
+        assert _certificate(phi, h) is entry
+        assert set(entry.lhs_by_grid) == grids | {same_ceiling.tobytes()}
+        # A new ceiling replaces the table and every LHS built on it.
+        assert verify_comparison_constant(phi, h, c, narrow) == expected[1]
+        assert set(entry.lhs_by_grid) == {narrow.tobytes()}
+
+    def test_threads_keep_their_own_entries(self):
+        # Threads share one map and one forcing but not a ceiling, so an
+        # entry shared across threads would hand one thread's table to
+        # another.
+        descriptor, phi, h = next(case for case in self.CASES
+                                  if case[0] == "xlog")
+        grids = [None, np.geomspace(1e-2, 1e2, 33)] * 3
+        expected = [estimate_comparison_constant(_fresh(descriptor), h, M)
+                    for M in grids]
+        results = [[] for _ in grids]
+
+        def work(i):
+            for _ in range(5):
+                results[i].append(estimate_comparison_constant(phi, h, grids[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(grids))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[c] * 5 for c in expected]
+
+    def test_mutated_profile_does_not_reach_the_cone_bound(self):
+        descriptor, phi, h = self.CASES[3]
+        profile = solve_linear(phi, h)
+        # A spike at the first interior node puts every other node below
+        # the cone's floor.
+        profile.u.values.setflags(write=True)
+        profile.u.values[:] = 0.0
+        profile.u.values[1] = 1.0
+        assert cone_lower_bound(phi, h, 1e-8)
+        assert cone_lower_bound(_fresh(descriptor), h, 1e-8)
+
+    def test_root_constant_against_bisection(self):
+        passed = 0
+        for descriptor, phi, h in self.CASES:
+            c_bis, c_bis_final, (M, lhs), (fine, lhs_fine) = \
+                _bisected_comparison_constant(_fresh(descriptor), h)
+            c_root = min(_forward_root_constant(phi, lhs, M), 1e6)
+            if _holds(phi, lhs, c_root, M):
+                passed += 1
+                assert c_root >= c_bis * (1.0 - 1e-12)
+            c = estimate_comparison_constant(phi, h)
+            assert _holds(phi, lhs_fine, c, fine)
+            assert c >= c_bis_final * (1.0 - 1e-12)
+        # The bisection fallback is for rounding at the binding lane.
+        assert passed >= 0.75 * len(self.CASES)
+
+    def test_fewer_inverse_calls(self, monkeypatch):
+        calls = []
+        engine = homeomorphisms._invert_positive
+
+        def counting(*args):
+            calls.append(1)
+            return engine(*args)
+
+        monkeypatch.setattr(homeomorphisms, "_invert_positive", counting)
+        per_case = []
+        for descriptor, _, h in self.CASES:
+            phi = _fresh(descriptor)
+            if phi._inverse_pos is not None:
+                continue
+            calls.clear()
+            c = estimate_comparison_constant(phi, h)
+            verify_comparison_constant(phi, h, c, _FINE_M)
+            per_case.append(len(calls))
+        # Bisecting c took over 60 engine calls per case.  The root takes
+        # five or six; the bisection stays as the fallback for a root that
+        # misses the check by rounding at the binding M.
+        assert sorted(per_case)[-3] <= 6
+
+    def test_table_lhs_below_exact_lhs_for_xlog(self):
+        M = np.geomspace(1e-4, 1e4, 33)
+        cases = [case for case in corpus(seed=0, count=200)
+                 if case[0] == "xlog"]
+        assert len(cases) == 25
+        for _, phi, h in cases:
+            data = _ComparisonData(phi, h)
+            table_lhs = data.lhs_values(M, data.make_table(M[-1]))
+            assert np.all(table_lhs <= _exact_lhs(phi, h, M))
