@@ -11,10 +11,9 @@ the driving homeomorphism.
 from .errors import (ConstructionError, ConvergenceError, GridMismatchError,
                      PhiBVPError, ProblemFileError, UnboundedInputError,
                      ZeroWeightError)
-from .grids import (Grid, GridFunction, SupportData, cumulative_integral,
-                    dist_to_boundary, integral, pointwise_leq,
-                    read_grid_function, require_same_grid, sup_norm,
-                    support_data, write_grid_function)
+from .grids import (Grid, GridFunction, cumulative_integral, dist_to_boundary,
+                    integral, pointwise_leq, require_same_grid, sup_norm,
+                    support_data)
 from .homeomorphisms import (CATALOG_DESCRIPTORS, Homeomorphism,
                              inverse_homeomorphism, inverse_saturating,
                              make_catalog_entry, make_power, numeric_inverse)
@@ -23,36 +22,31 @@ from .linear import (SolutionProfile, cone_lower_bound, envelope_bounds,
                      sup_norm_lower_bound, verify_comparison_constant)
 from .problems import (FConstants, G1Constants, G2Constants, ProblemSpec, rhs,
                        with_lambda)
-from .nonlinear import (ShootResult, SubSuperPair, SubsolutionResult,
-                        SupersolutionResult, VerifyResult, build_subsolution,
-                        build_supersolution, make_sub_super_pair, scan_shooting,
-                        shoot, solve_between, verify_subsolution,
-                        verify_supersolution)
+from .nonlinear import (build_subsolution, build_supersolution,
+                        make_sub_super_pair, scan_shooting, shoot,
+                        solve_between, verify_subsolution, verify_supersolution)
 from .bifurcation import (BranchDiagram, BranchPoint, BranchSolution,
                           check_cone_membership, compute_lambda1,
                           lambda_star_bisect, sweep)
-from .orlicz import (AdvisorReport, Delta2Result, DualityResult,
-                     HypothesisVerdict, IndexEstimate, LimitClass,
-                     PhiConditionReport, check_delta2, check_phi_conditions,
-                     classify_limit, duality_check, estimate_indices,
-                     growth_ratio, hypothesis_advisor, representable_x_grid)
+from .orlicz import (HypothesisVerdict, IndexEstimate, LimitClass,
+                     check_delta2, check_phi_conditions, classify_limit,
+                     duality_check, estimate_indices, growth_ratio,
+                     hypothesis_advisor)
 from .problem_io import (json_ready, parse_linear_problem, parse_problem,
-                         read_diagram_csv, write_diagram_csv, write_json_report,
+                         read_diagram_csv, read_grid_function,
+                         write_diagram_csv, write_json_report,
                          write_profile_csv)
-from .corpus import corpus, random_case, random_forcing
+from .corpus import corpus, random_forcing
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvisorReport", "BranchDiagram", "BranchPoint", "BranchSolution",
-    "CATALOG_DESCRIPTORS", "ConstructionError", "ConvergenceError",
-    "Delta2Result", "DualityResult", "FConstants", "G1Constants",
+    "BranchDiagram", "BranchPoint", "BranchSolution", "CATALOG_DESCRIPTORS",
+    "ConstructionError", "ConvergenceError", "FConstants", "G1Constants",
     "G2Constants", "Grid", "GridFunction", "GridMismatchError",
     "Homeomorphism", "HypothesisVerdict", "IndexEstimate", "LimitClass",
-    "PhiBVPError", "PhiConditionReport", "ProblemFileError", "ProblemSpec",
-    "ShootResult", "SolutionProfile", "SubSuperPair", "SubsolutionResult",
-    "SupersolutionResult", "SupportData", "UnboundedInputError",
-    "VerifyResult", "ZeroWeightError", "build_subsolution",
+    "PhiBVPError", "ProblemFileError", "ProblemSpec", "SolutionProfile",
+    "UnboundedInputError", "ZeroWeightError", "build_subsolution",
     "build_supersolution", "check_cone_membership", "check_delta2",
     "check_phi_conditions", "classify_limit", "compute_lambda1",
     "cone_lower_bound", "corpus", "cumulative_integral", "dist_to_boundary",
@@ -62,11 +56,10 @@ __all__ = [
     "lambda_star_bisect", "make_catalog_entry", "make_power",
     "make_sub_super_pair", "monotone_check", "numeric_inverse",
     "parse_linear_problem", "parse_problem", "pointwise_leq",
-    "random_case", "random_forcing", "read_diagram_csv", "read_grid_function",
-    "representable_x_grid", "require_same_grid", "rhs", "scan_shooting",
-    "shoot", "solve_between", "solve_linear", "sup_norm",
-    "sup_norm_lower_bound", "support_data", "sweep", "verify_comparison_constant",
-    "verify_subsolution", "verify_supersolution", "with_lambda",
-    "write_diagram_csv", "write_grid_function", "write_json_report",
-    "write_profile_csv",
+    "random_forcing", "read_diagram_csv", "read_grid_function",
+    "require_same_grid", "rhs", "scan_shooting", "shoot", "solve_between",
+    "solve_linear", "sup_norm", "sup_norm_lower_bound", "support_data",
+    "sweep", "verify_comparison_constant", "verify_subsolution",
+    "verify_supersolution", "with_lambda", "write_diagram_csv",
+    "write_json_report", "write_profile_csv",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError
 from .grids import GridFunction, dist_to_boundary, integral, sup_norm, support_data
 from .homeomorphisms import inverse_saturating
-from .linear import SolutionProfile, estimate_comparison_constant
+from .linear import SolutionProfile, _in_cone, estimate_comparison_constant
 from .nonlinear import _largest_prefix_valid, _scan, scan_shooting
 from .problems import ProblemSpec, with_lambda
 
@@ -52,13 +52,8 @@ def check_cone_membership(profile: SolutionProfile, n: GridFunction,
     theta the reciprocal-distance constant of the support of n.  Checked
     nodewise with an absolute slack (default 1e-8 * (1 + ||u||)).
     """
-    data = support_data(n)
-    norm = sup_norm(profile.u)
-    if slack is None:
-        slack = 1e-8 * (1.0 + norm)
-    delta = dist_to_boundary(profile.u.grid)
-    floor = data.theta_under * norm * delta.values
-    return bool(np.all(profile.u.values >= floor - slack))
+    return _in_cone(profile.u.values, dist_to_boundary(profile.u.grid).values,
+                    support_data(n).theta_under, slack)
 
 
 def compute_lambda1(spec: ProblemSpec, R: float):

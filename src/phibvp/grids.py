@@ -11,7 +11,6 @@ positivity machinery.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +137,13 @@ def cumulative_trapezoid_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cell_trapezoids(samples: np.ndarray, sub_widths: np.ndarray) -> np.ndarray:
+    """Composite trapezoid per cell: row i of ``samples`` holds equispaced
+    samples across cell i, ``sub_widths[i]`` apart, ends included."""
+    inner = np.sum(samples, axis=1) - 0.5 * (samples[:, 0] + samples[:, -1])
+    return sub_widths * inner
+
+
 def cumulative_integral(fn: GridFunction) -> GridFunction:
     """Trapezoid antiderivative of ``fn`` vanishing at the left endpoint."""
     return GridFunction(fn.grid, cumulative_trapezoid_values(fn.grid, fn.values))
@@ -249,26 +255,3 @@ def support_data(h: GridFunction, tol: float | None = None) -> SupportData:
     theta_under = min(1.0 / (beta - grid.a), 1.0 / (grid.b - alpha))
     return SupportData(alpha_h=float(alpha), beta_h=float(beta),
                        theta_bar=float(theta_bar), theta_under=float(theta_under))
-
-
-def write_grid_function(path, fn: GridFunction, value_column: str = "value") -> None:
-    """Write ``x,value`` CSV rows with full float precision."""
-    with open(path, "w", newline="") as handle:
-        handle.write("x,%s\n" % value_column)
-        for xi, vi in zip(fn.grid.nodes, fn.values):
-            handle.write("%.17g,%.17g\n" % (xi, vi))
-
-
-def read_grid_function(path, value_column: str = "value") -> GridFunction:
-    """Read a CSV with an ``x`` column and the named value column."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "x" not in reader.fieldnames:
-            raise ValueError("CSV must have an 'x' column")
-        if value_column not in reader.fieldnames:
-            raise ValueError("CSV has no column named %r" % value_column)
-        xs, vs = [], []
-        for row in reader:
-            xs.append(float(row["x"]))
-            vs.append(float(row[value_column]))
-    return GridFunction(Grid(np.asarray(xs)), np.asarray(vs))

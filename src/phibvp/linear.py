@@ -17,11 +17,14 @@ comparison constant c with
 
 uniformly over a grid of M values.  The largest such c on each M comes
 from a monotone forward equation, with no inverse evaluations.  A bound
-chain runs several of these on one forcing, so a one-entry memo keeps what
-they share: the one-sided partitions, the inverse table, the left-hand
-sides by M grid and the last solution.  It holds one map and one forcing
-at a time (per thread), and every result equals a fresh computation bit
-for bit.
+chain runs several of these on one forcing, and each of them reads one
+certificate per forcing, kept in a one-entry memo: the support data, the
+distance to the boundary, the refined cumulative of max(h, 0), the
+one-sided partition around the support midpoint, the exact bracket (the
+smaller one-sided integral of phi^{-1} of the mass), the inverse table
+with the left-hand sides by M grid, and the last solution.  Each piece is
+built on first use.  The memo holds one map and one forcing at a time
+(per thread), and every result equals a fresh computation bit for bit.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, UnboundedInputError
-from .grids import (Grid, GridFunction, dist_to_boundary, require_same_grid,
-                    support_data)
+from .grids import (Grid, GridFunction, SupportData, _cell_trapezoids,
+                    cumulative_trapezoid_values, dist_to_boundary,
+                    require_same_grid, support_data)
 from .homeomorphisms import (Homeomorphism, _InverseTable, _midpoint,
                              inverse_saturating)
 
@@ -94,9 +99,7 @@ class _RefinedCumulative:
         x = grid.nodes
         v = np.asarray(values, dtype=float)
         w = grid.cell_widths
-        node_H = np.empty_like(v)
-        node_H[0] = 0.0
-        np.cumsum(0.5 * w * (v[:-1] + v[1:]), out=node_H[1:])
+        node_H = cumulative_trapezoid_values(grid, v)
 
         s = np.linspace(0.0, 1.0, refine + 1)
         offs = w[:, None] * s[None, :]
@@ -127,8 +130,7 @@ class _RefinedCumulative:
 
     def integrate_cells(self, g_cells: np.ndarray) -> np.ndarray:
         """Composite trapezoid of fine samples, one integral per cell."""
-        inner = np.sum(g_cells, axis=1) - 0.5 * (g_cells[:, 0] + g_cells[:, -1])
-        return self.sub_w * inner
+        return _cell_trapezoids(g_cells, self.sub_w)
 
     def prefix(self, x_stop: float):
         """Fine points and cumulative values covering [a, x_stop]."""
@@ -279,19 +281,6 @@ def monotone_check(phi: Homeomorphism, h1: GridFunction, h2: GridFunction,
     return bool(np.all(u1.u.values <= u2.u.values + slack))
 
 
-def _one_sided_integrals(phi: Homeomorphism, rc: _RefinedCumulative,
-                         theta_bar: float):
-    """The two integrals of phi^{-1}(mass between y and theta_bar)."""
-    H_mid = rc.value_at(theta_bar)
-    pts_l, H_l = rc.prefix(theta_bar)
-    pts_r, H_r = rc.suffix(theta_bar)
-    left = float(_trapezoid_weights(pts_l)
-                 @ phi.inverse(np.maximum(H_mid - H_l, 0.0)))
-    right = float(_trapezoid_weights(pts_r)
-                  @ phi.inverse(np.maximum(H_r - H_mid, 0.0)))
-    return left, right
-
-
 def sup_norm_lower_bound(phi: Homeomorphism, h: GridFunction) -> float:
     """A strictly positive lower bound for the solution's sup-norm.
 
@@ -299,10 +288,7 @@ def sup_norm_lower_bound(phi: Homeomorphism, h: GridFunction) -> float:
     of h, which in turn dominates the smaller of the two one-sided integrals
     of phi^{-1} of the accumulated mass.
     """
-    sd = support_data(h)
-    rc = _RefinedCumulative(h.grid, np.maximum(h.values, 0.0))
-    left, right = _one_sided_integrals(phi, rc, sd.theta_bar)
-    return min(left, right)
+    return _certificate(phi, h).bracket
 
 
 def envelope_bounds(phi: Homeomorphism, h: GridFunction):
@@ -316,15 +302,21 @@ def envelope_bounds(phi: Homeomorphism, h: GridFunction):
     where delta is the distance to the boundary.  The solution of the
     problem with forcing h lies between them at every node.
     """
-    sd = support_data(h)
-    rc = _RefinedCumulative(h.grid, np.maximum(h.values, 0.0))
-    delta = dist_to_boundary(h.grid)
-    left, right = _one_sided_integrals(phi, rc, sd.theta_bar)
-    bracket = min(left, right)
-    upper_scale = float(phi.inverse(float(rc.node_H[-1])))
-    lower = GridFunction(h.grid, sd.theta_under * bracket * delta.values)
-    upper = GridFunction(h.grid, upper_scale * delta.values)
-    return lower, upper
+    cert = _certificate(phi, h)
+    lower_scale = cert.support.theta_under * cert.bracket
+    upper_scale = float(phi.inverse(float(cert.clamped.node_H[-1])))
+    return (GridFunction(h.grid, lower_scale * cert.delta),
+            GridFunction(h.grid, upper_scale * cert.delta))
+
+
+def _in_cone(u: np.ndarray, delta: np.ndarray, theta_under: float,
+             slack=None) -> bool:
+    """Whether u >= theta_under * ||u|| * delta - slack at every node; the
+    slack defaults to 1e-8 * (1 + ||u||)."""
+    norm = float(np.max(np.abs(u)))
+    if slack is None:
+        slack = 1e-8 * (1.0 + norm)
+    return bool(np.all(u >= theta_under * norm * delta - slack))
 
 
 def cone_lower_bound(phi: Homeomorphism, h: GridFunction,
@@ -334,78 +326,79 @@ def cone_lower_bound(phi: Homeomorphism, h: GridFunction,
     u is the solution ``solve_linear(phi, h)`` gives with its default
     arguments; when the caller has just computed it, it comes from the memo.
     """
-    u = _certificate(phi, h).solution(DEFAULT_TOL, DEFAULT_REFINE)
+    cert = _certificate(phi, h)
+    u = cert.solution(DEFAULT_TOL, DEFAULT_REFINE)
     if u is None:
         u = solve_linear(phi, h).u.values
-    sd = support_data(h)
-    delta = dist_to_boundary(h.grid)
-    norm = float(np.max(np.abs(u)))
-    floor = sd.theta_under * norm * delta.values
-    return bool(np.all(u >= floor - slack))
-
-
-class _ComparisonData:
-    """Precomputed one-sided partitions for the comparison-constant search.
-
-    The left-hand side of the comparison inequality depends on the scaling
-    M but not on the candidate constant, so the partition points, weights,
-    and accumulated-mass differences are computed once per weight.
-    """
-
-    def __init__(self, phi: Homeomorphism, h: GridFunction):
-        sd = support_data(h)
-        rc = _RefinedCumulative(h.grid, np.maximum(h.values, 0.0))
-        H_mid = rc.value_at(sd.theta_bar)
-        pts_l, H_l = rc.prefix(sd.theta_bar)
-        pts_r, H_r = rc.suffix(sd.theta_bar)
-        self.phi = phi
-        self.wl = _trapezoid_weights(pts_l)
-        self.dl = np.maximum(H_mid - H_l, 0.0)
-        self.wr = _trapezoid_weights(pts_r)
-        self.dr = np.maximum(H_r - H_mid, 0.0)
-        self.mass_scale = max(float(np.max(self.dl)), float(np.max(self.dr)))
-
-    def make_table(self, m_max: float) -> _InverseTable:
-        return _InverseTable(self.phi, m_max * self.mass_scale)
-
-    def lhs_values(self, M_values: np.ndarray, table: _InverseTable) -> np.ndarray:
-        out = np.empty(M_values.size)
-        for i, M in enumerate(M_values):
-            left = float(self.wl @ table(M * self.dl))
-            right = float(self.wr @ table(M * self.dr))
-            out[i] = min(left, right)
-        return out * (1.0 - _TABLE_MARGIN)
+    return _in_cone(u, cert.delta, cert.support.theta_under, slack)
 
 
 class _Certificate:
     """What the bound chain derives from one map and one forcing.
 
-    Filled in as it is asked for: the one-sided partitions, the inverse
-    table for one ceiling with the left-hand sides it gave by M grid (a new
-    ceiling replaces both), and the nodal values of the last
+    ``solve_linear`` makes an entry for every forcing it solves, signed ones
+    and Picard iterates included, so every piece is built on first use:
+    ``support`` (support data; raises on a signed forcing), ``delta`` (the
+    distance to the boundary), ``clamped`` (the refined cumulative of
+    max(h, 0)), ``partition`` (trapezoid weights and mass differences
+    ``(wl, dl, wr, dr)`` either side of the support midpoint), ``bracket``
+    (min(wl @ phi^{-1}(dl), wr @ phi^{-1}(dr)) through ``phi.inverse``), the
+    inverse table for one ceiling with the left-hand sides it gave by M grid
+    (a new ceiling replaces both), and the nodal values of the last
     ``solve_linear`` with its ``(tol, refine)``.
     """
 
-    def __init__(self, phi: Homeomorphism, key: tuple):
+    def __init__(self, phi: Homeomorphism, h: GridFunction, key: tuple):
         self.phi = phi
+        self.h = h
         self.key = key
-        self.data = None
         self.ceiling = None
         self.table = None
         self.lhs_by_grid = {}
         self.solved = None
 
-    def lhs(self, h: GridFunction, M: np.ndarray, ceiling: float) -> np.ndarray:
+    @cached_property
+    def support(self) -> SupportData:
+        return support_data(self.h)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        return dist_to_boundary(self.h.grid).values
+
+    @cached_property
+    def clamped(self) -> _RefinedCumulative:
+        return _RefinedCumulative(self.h.grid, np.maximum(self.h.values, 0.0))
+
+    @cached_property
+    def partition(self):
+        rc, theta_bar = self.clamped, self.support.theta_bar
+        H_mid = rc.value_at(theta_bar)
+        pts_l, H_l = rc.prefix(theta_bar)
+        pts_r, H_r = rc.suffix(theta_bar)
+        return (_trapezoid_weights(pts_l), np.maximum(H_mid - H_l, 0.0),
+                _trapezoid_weights(pts_r), np.maximum(H_r - H_mid, 0.0))
+
+    @cached_property
+    def bracket(self) -> float:
+        wl, dl, wr, dr = self.partition
+        return min(float(wl @ self.phi.inverse(dl)),
+                   float(wr @ self.phi.inverse(dr)))
+
+    def lhs(self, M: np.ndarray, ceiling: float) -> np.ndarray:
         """The comparison LHS on the grid M, with the table up to ``ceiling``."""
+        wl, dl, wr, dr = self.partition
         if ceiling != self.ceiling:
-            if self.data is None:
-                self.data = _ComparisonData(self.phi, h)
-            self.table = self.data.make_table(ceiling)
+            mass_scale = max(float(np.max(dl)), float(np.max(dr)))
+            self.table = _InverseTable(self.phi, ceiling * mass_scale)
             self.ceiling = ceiling
             self.lhs_by_grid = {}
         key = M.tobytes()
         if key not in self.lhs_by_grid:
-            self.lhs_by_grid[key] = self.data.lhs_values(M, self.table)
+            out = np.empty(M.size)
+            for i, m in enumerate(M):
+                out[i] = min(float(wl @ self.table(m * dl)),
+                             float(wr @ self.table(m * dr)))
+            self.lhs_by_grid[key] = out * (1.0 - _TABLE_MARGIN)
         return self.lhs_by_grid[key]
 
     def solution(self, tol: float, refine: int):
@@ -426,7 +419,7 @@ def _certificate(phi: Homeomorphism, h: GridFunction) -> _Certificate:
     key = (h.grid.nodes.tobytes(), h.values.tobytes())
     entry = getattr(_memo, "entry", None)
     if entry is None or entry.phi is not phi or entry.key != key:
-        entry = _memo.entry = _Certificate(phi, key)
+        entry = _memo.entry = _Certificate(phi, h, key)
     return entry
 
 
@@ -516,7 +509,7 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
     M = _normalized_M_grid(M_grid)
     ceiling = float(M[-1])
     cert = _certificate(phi, h)
-    lhs = cert.lhs(h, M, ceiling)
+    lhs = cert.lhs(M, ceiling)
 
     lo, hi = 1e-12, 1e6
     if not _comparison_holds(phi, lhs, lo, M):
@@ -527,7 +520,7 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
     c *= 0.999
 
     fine = _refined_M_grid(M)
-    lhs_fine = cert.lhs(h, fine, ceiling)
+    lhs_fine = cert.lhs(fine, ceiling)
     for _ in range(40):
         if _comparison_holds(phi, lhs_fine, c, fine):
             return float(c)
@@ -539,5 +532,5 @@ def verify_comparison_constant(phi: Homeomorphism, h: GridFunction, c: float,
                                M_grid) -> bool:
     """Re-check the comparison inequality for a given constant on a given grid."""
     M = _normalized_M_grid(M_grid)
-    lhs = _certificate(phi, h).lhs(h, M, float(M[-1]))
+    lhs = _certificate(phi, h).lhs(M, float(M[-1]))
     return _comparison_holds(phi, lhs, c, M)

@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, ZeroWeightError
-from .grids import (GridFunction, cumulative_trapezoid_values, dist_to_boundary,
-                    integral, sup_norm)
+from .grids import (GridFunction, _cell_trapezoids, cumulative_trapezoid_values,
+                    dist_to_boundary, integral, sup_norm)
 from .homeomorphisms import _odd_inverse_fn, inverse_saturating
 from .linear import SolutionProfile, solve_linear
 from .problems import ProblemSpec, rhs
@@ -458,8 +458,7 @@ def _integrated_defect(spec: ProblemSpec, u_nodes: np.ndarray,
     up = np.maximum(u_cells, 0.0)
     vals = (spec.lam * m_c[:, None] * np.asarray(spec.f(up), dtype=float)
             + spec.mu * n_c[:, None] * np.asarray(spec.g(up), dtype=float))
-    inner = np.sum(vals, axis=1) - 0.5 * (vals[:, 0] + vals[:, -1])
-    cell_int = (widths / refine) * inner
+    cell_int = _cell_trapezoids(vals, widths / refine)
     Q = np.concatenate(([0.0], np.cumsum(cell_int)))
     defect = float(np.max(np.abs(z_nodes - z_nodes[0] + Q)))
     return defect / (1.0 + abs(float(z_nodes[0])))

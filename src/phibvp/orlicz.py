@@ -171,7 +171,13 @@ class Delta2Result(NamedTuple):
 
 
 def _doubling_sup(phi: Homeomorphism, x: np.ndarray) -> float:
-    """Supremum of phi(2x)/phi(x) with overflow kept as inf on purpose."""
+    """Supremum of phi(2x)/phi(x) with overflow kept as inf on purpose.
+
+    Not ``growth_ratio(phi, 2.0, x)``: that drops lanes whose numerator
+    overflows, so on expm1 it reads about 1.1e154 on both default grids
+    where this reads inf, and ``check_delta2`` would then pass a map that
+    is not doubling.  On the catalog maps the two agree exactly.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         num = np.asarray(phi.forward(2.0 * x), dtype=float)
         den = np.asarray(phi.forward(x), dtype=float)

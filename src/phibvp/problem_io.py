@@ -278,7 +278,7 @@ def _format_float(value: float) -> str:
 
 
 def write_profile_csv(path, profile) -> None:
-    """Write ``x,u,du`` rows; reads back via the grid-function reader."""
+    """Write ``x,u,du`` rows; ``read_grid_function`` reads them back."""
     x = profile.grid.nodes
     with open(path, "w", newline="\n") as handle:
         handle.write("x,u,du\n")
@@ -313,6 +313,21 @@ def read_diagram_csv(path):
                          float(row["sup_norm"]), float(row["initial_slope"]),
                          bool(int(row["in_cone"]))))
     return rows
+
+
+def read_grid_function(path, value_column: str = "value") -> GridFunction:
+    """Read a CSV with an ``x`` column and the named value column."""
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or "x" not in reader.fieldnames:
+            raise ValueError("CSV must have an 'x' column")
+        if value_column not in reader.fieldnames:
+            raise ValueError("CSV has no column named %r" % value_column)
+        xs, vs = [], []
+        for row in reader:
+            xs.append(float(row["x"]))
+            vs.append(float(row[value_column]))
+    return GridFunction(Grid(np.asarray(xs)), np.asarray(vs))
 
 
 def json_ready(value):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from phibvp import (Grid, GridFunction, ZeroWeightError, cumulative_integral,
-                    dist_to_boundary, integral, pointwise_leq,
-                    read_grid_function, sup_norm, support_data,
-                    write_grid_function)
+from phibvp import (Grid, GridFunction, SolutionProfile, ZeroWeightError,
+                    cumulative_integral, dist_to_boundary, integral,
+                    pointwise_leq, read_grid_function, sup_norm, support_data,
+                    write_profile_csv)
 from phibvp.errors import GridMismatchError
 from phibvp.grids import require_same_grid
 
@@ -140,22 +140,37 @@ class TestSupportData:
             assert sd.theta_under * np.max(dist_to_boundary(g).values) >= 0.5 - 1e-12
 
 
+def _profile(n):
+    g = unit_grid(n)
+    t = np.linspace(0.0, 3.0, n)
+    return SolutionProfile(u=GridFunction(g, np.sin(t)),
+                           du=GridFunction(g, np.cos(t) / 3.0),
+                           c_star=0.25, residual=0.0)
+
+
 class TestCsvRoundTrip:
     def test_write_read_exact(self, tmp_path):
-        g = unit_grid(97)
-        f = GridFunction(g, np.sin(np.linspace(0.0, 3.0, 97)))
-        path = tmp_path / "f.csv"
-        write_grid_function(path, f)
-        back = read_grid_function(path)
-        assert np.array_equal(back.grid.nodes, g.nodes)
-        assert np.array_equal(back.values, f.values)
+        profile = _profile(97)
+        path = tmp_path / "solution.csv"
+        write_profile_csv(path, profile)
+        u = read_grid_function(path, value_column="u")
+        du = read_grid_function(path, value_column="du")
+        assert np.array_equal(u.grid.nodes, profile.grid.nodes)
+        assert np.array_equal(u.values, profile.u.values)
+        assert np.array_equal(du.grid.nodes, profile.grid.nodes)
+        assert np.array_equal(du.values, profile.du.values)
+        again = tmp_path / "again.csv"
+        write_profile_csv(again, SolutionProfile(u, du, profile.c_star,
+                                                 profile.residual))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_named_value_column(self, tmp_path):
-        g = unit_grid(17)
-        f = GridFunction(g, np.arange(17.0))
-        path = tmp_path / "g.csv"
-        write_grid_function(path, f, value_column="u")
-        back = read_grid_function(path, value_column="u")
-        assert np.array_equal(back.values, f.values)
+        profile = _profile(17)
+        path = tmp_path / "solution.csv"
+        write_profile_csv(path, profile)
+        back = read_grid_function(path, value_column="du")
+        assert np.array_equal(back.values, profile.du.values)
+        with pytest.raises(ValueError):
+            read_grid_function(path)
         with pytest.raises(ValueError):
             read_grid_function(path, value_column="missing")

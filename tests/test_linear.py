@@ -6,13 +6,14 @@ import pytest
 
 from phibvp import (CATALOG_DESCRIPTORS, ConvergenceError, Grid,
                     GridFunction, Homeomorphism, UnboundedInputError,
-                    cone_lower_bound, corpus,
+                    check_cone_membership, cone_lower_bound, corpus,
                     envelope_bounds, estimate_comparison_constant,
                     inverse_saturating, make_catalog_entry, make_power,
                     monotone_check, solve_linear, sup_norm,
                     sup_norm_lower_bound, verify_comparison_constant)
 from phibvp import homeomorphisms
-from phibvp.linear import (DEFAULT_REFINE, _certificate, _ComparisonData,
+from phibvp import linear
+from phibvp.linear import (DEFAULT_REFINE, _certificate, _Certificate,
                            _forward_root_constant, _RefinedCumulative)
 
 # Closed-form peak of the solution of -phi(u')' = 1 on (0, 1) with zero
@@ -295,6 +296,11 @@ def _fresh(descriptor):
     return make_catalog_entry(descriptor)
 
 
+def _outside_memo(phi, h):
+    """A certificate for (phi, h) that the memo does not hold."""
+    return _Certificate(phi, h, key=None)
+
+
 def _holds(phi, lhs, c, M):
     with np.errstate(over="ignore"):
         return bool(np.all(lhs >= c * inverse_saturating(phi, c * M)))
@@ -307,9 +313,8 @@ def _bisected_comparison_constant(phi, h):
     the constant before and after shave and back-off."""
     M = np.geomspace(1e-4, 1e4, 33)
     fine = np.geomspace(1e-4, 1e4, 331)
-    data = _ComparisonData(phi, h)
-    table = data.make_table(M[-1])
-    lhs, lhs_fine = data.lhs_values(M, table), data.lhs_values(fine, table)
+    cert = _outside_memo(phi, h)
+    lhs, lhs_fine = cert.lhs(M, M[-1]), cert.lhs(fine, M[-1])
     lo, hi = 1e-12, 1e6
     if _holds(phi, lhs, hi, M):
         lo = hi
@@ -329,17 +334,20 @@ def _bisected_comparison_constant(phi, h):
 def _exact_lhs(phi, h, M):
     """The comparison LHS with the certified inverse in place of the table,
     on the same partitions."""
-    data = _ComparisonData(phi, h)
-    return np.array([min(data.wl @ phi.inverse(m * data.dl),
-                         data.wr @ phi.inverse(m * data.dr)) for m in M])
+    wl, dl, wr, dr = _outside_memo(phi, h).partition
+    return np.array([min(wl @ phi.inverse(m * dl), wr @ phi.inverse(m * dr))
+                     for m in M])
 
 
 def _chain(phi, h):
     profile = solve_linear(phi, h)
     slack = 1e-8 * (1.0 + sup_norm(profile.u))
+    lower, upper = envelope_bounds(phi, h)
     cone = cone_lower_bound(phi, h, slack)
+    half = sup_norm_lower_bound(phi, h)
     c = estimate_comparison_constant(phi, h)
-    return c, verify_comparison_constant(phi, h, c, _FINE_M), cone, slack
+    recheck = verify_comparison_constant(phi, h, c, _FINE_M)
+    return profile, (lower, upper), cone, half, c, recheck, slack
 
 
 class TestComparisonCertificate:
@@ -349,11 +357,55 @@ class TestComparisonCertificate:
         # Every call below on a fresh map object misses the memo, so it
         # computes from scratch what the chain read from it.
         for descriptor, phi, h in self.CASES:
-            c, recheck, cone, slack = _chain(phi, h)
+            _, (lower, upper), cone, half, c, recheck, slack = _chain(phi, h)
+            fresh_lower, fresh_upper = envelope_bounds(_fresh(descriptor), h)
+            assert np.array_equal(fresh_lower.values, lower.values)
+            assert np.array_equal(fresh_upper.values, upper.values)
+            assert sup_norm_lower_bound(_fresh(descriptor), h) == half
             assert estimate_comparison_constant(_fresh(descriptor), h) == c
             assert verify_comparison_constant(_fresh(descriptor), h, c,
                                               _FINE_M) == recheck
             assert cone_lower_bound(_fresh(descriptor), h, slack) == cone
+
+    def test_one_certificate_per_chain(self, monkeypatch):
+        # At the parent of this design the chain ran support_data four
+        # times, built the clamped cumulative three times and evaluated the
+        # exact one-sided integrals twice.
+        descriptor, _, h = self.CASES[5]
+        supports, clamped, exact = [], [], []
+        support_fn, cumulative = linear.support_data, linear._RefinedCumulative
+        inverse = Homeomorphism.inverse
+
+        def counted_support(*args):
+            supports.append(1)
+            return support_fn(*args)
+
+        def counted_cumulative(grid, values, *args):
+            if values is not h.values:
+                clamped.append(1)
+            return cumulative(grid, values, *args)
+
+        def counted_inverse(self, z):
+            if np.size(z) > 1:
+                exact.append(1)
+            return inverse(self, z)
+
+        monkeypatch.setattr(linear, "support_data", counted_support)
+        monkeypatch.setattr(linear, "_RefinedCumulative", counted_cumulative)
+        monkeypatch.setattr(Homeomorphism, "inverse", counted_inverse)
+        _chain(_fresh(descriptor), h)
+        assert len(supports) == 1
+        assert len(clamped) == 1
+        # One evaluation is two array calls, one per side.
+        assert len(exact) == 2
+
+    def test_cone_test_is_shared_with_branch_profiles(self):
+        for _, phi, h in self.CASES[:10]:
+            profile = solve_linear(phi, h)
+            norm = sup_norm(profile.u)
+            for slack in (1e-8 * (1.0 + norm), 0.0, -1e-3 * norm):
+                assert (check_cone_membership(profile, h, slack)
+                        == cone_lower_bound(phi, h, slack))
 
     def test_memo_misses_another_map_object(self):
         _, phi, h = self.CASES[0]
@@ -478,6 +530,5 @@ class TestComparisonCertificate:
                  if case[0] == "xlog"]
         assert len(cases) == 25
         for _, phi, h in cases:
-            data = _ComparisonData(phi, h)
-            table_lhs = data.lhs_values(M, data.make_table(M[-1]))
+            table_lhs = _outside_memo(phi, h).lhs(M, M[-1])
             assert np.all(table_lhs <= _exact_lhs(phi, h, M))
