@@ -45,31 +45,39 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
+def _bound_verdicts(phi, h, profile) -> dict:
+    """The envelope, cone and half-bracket verdicts on the solution
+    ``profile`` of the forcing h, each with the slack 1e-8 * (1 + ||u||).
+    Raises ``ZeroWeightError`` when h carries no mass."""
+    unorm = sup_norm(profile.u)
+    slack = 1e-8 * (1.0 + unorm)
+    lower, upper = envelope_bounds(phi, h)
+    return {
+        "envelope_lower_holds": pointwise_leq(lower, profile.u, slack),
+        "envelope_upper_holds": pointwise_leq(profile.u, upper, slack),
+        "cone_bound_holds": cone_lower_bound(phi, h, slack),
+        "half_bracket_below_sup_norm": bool(
+            0.5 * sup_norm_lower_bound(phi, h) <= unorm + slack),
+    }
+
+
 def _cmd_solve_linear(args) -> int:
     phi, h = parse_linear_problem(args.problem, grid_size=args.grid_size)
     profile = solve_linear(phi, h, tol=args.tol)
-    unorm = sup_norm(profile.u)
-    slack = 1e-8 * (1.0 + unorm)
 
     report = {
         "c_star": profile.c_star,
         "residual": profile.residual,
-        "sup_norm": unorm,
+        "sup_norm": sup_norm(profile.u),
         "envelope_lower_holds": None,
         "envelope_upper_holds": None,
         "cone_bound_holds": None,
         "half_bracket_below_sup_norm": None,
     }
     try:
-        lower, upper = envelope_bounds(phi, h)
+        report.update(_bound_verdicts(phi, h, profile))
     except ZeroWeightError:
         _note("forcing carries no mass; envelope checks skipped")
-    else:
-        report["envelope_lower_holds"] = pointwise_leq(lower, profile.u, slack)
-        report["envelope_upper_holds"] = pointwise_leq(profile.u, upper, slack)
-        report["cone_bound_holds"] = cone_lower_bound(phi, h, slack)
-        bracket = sup_norm_lower_bound(phi, h)
-        report["half_bracket_below_sup_norm"] = bool(0.5 * bracket <= unorm + slack)
 
     write_profile_csv(_out_path(args, "solution.csv"), profile)
     write_json_report(_out_path(args, "report.json"), report)
@@ -176,14 +184,7 @@ def _cmd_verify_bounds(args) -> int:
     results = []
     for index, (descriptor, phi, h) in enumerate(cases):
         profile = solve_linear(phi, h)
-        unorm = sup_norm(profile.u)
-        slack = 1e-8 * (1.0 + unorm)
-        lower, upper = envelope_bounds(phi, h)
-        des1 = (pointwise_leq(lower, profile.u, slack)
-                and pointwise_leq(profile.u, upper, slack))
-        cone = cone_lower_bound(phi, h, slack)
-        bracket = sup_norm_lower_bound(phi, h)
-        des2 = bool(0.5 * bracket <= unorm + slack)
+        verdicts = _bound_verdicts(phi, h, profile)
         constant = estimate_comparison_constant(phi, h)
         recheck = bool(constant > 0.0
                        and verify_comparison_constant(phi, h, constant, fine_M))
@@ -191,10 +192,12 @@ def _cmd_verify_bounds(args) -> int:
             "case": index,
             "phi": descriptor,
             "mass": integral(h),
-            "sup_norm": unorm,
-            "envelopes_hold": bool(des1),
-            "cone_bound_holds": bool(cone),
-            "half_bracket_below_sup_norm": des2,
+            "sup_norm": sup_norm(profile.u),
+            "envelopes_hold": (verdicts["envelope_lower_holds"]
+                               and verdicts["envelope_upper_holds"]),
+            "cone_bound_holds": verdicts["cone_bound_holds"],
+            "half_bracket_below_sup_norm":
+                verdicts["half_bracket_below_sup_norm"],
             "comparison_constant": constant,
             "comparison_recheck": recheck,
         })

@@ -47,7 +47,7 @@ def random_forcing(rng: np.random.Generator, grid: Grid) -> GridFunction:
     return GridFunction(grid, values)
 
 
-def random_case(rng: np.random.Generator, grid_size: int = 257):
+def random_case(rng: np.random.Generator, grid_size: int):
     """A (descriptor, homeomorphism, forcing) triple on the unit interval."""
     descriptor = CATALOG_DESCRIPTORS[int(rng.integers(0, len(CATALOG_DESCRIPTORS)))]
     grid = Grid.uniform(0.0, 1.0, grid_size)

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import GridMismatchError, ZeroWeightError
 
 
-def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values):
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -200,12 +200,15 @@ def _invert_cell_quadratic(x0, w, v0, v1, target):
     return x0 + 0.5 * (lo + hi)
 
 
-def support_data(h: GridFunction, tol: float | None = None) -> SupportData:
+_SUPPORT_TOL_REL = 1e-12
+
+
+def support_data(h: GridFunction) -> SupportData:
     """Locate the support of a nonnegative weight and its cone constant.
 
-    ``tol`` is the cumulative-mass threshold below which mass is treated as
-    zero; by default it is 1e-12 times the total mass.  Raises
-    ``ZeroWeightError`` when the weight carries no mass at all.
+    Mass is treated as zero while the cumulative mass stays at or below
+    1e-12 times the total mass.  Raises ``ZeroWeightError`` when the weight
+    carries no mass at all.
     """
     grid = h.grid
     values = h.values
@@ -215,8 +218,7 @@ def support_data(h: GridFunction, tol: float | None = None) -> SupportData:
 
     H = cumulative_trapezoid_values(grid, values)
     total = H[-1]
-    if tol is None:
-        tol = 1e-12 * total
+    tol = _SUPPORT_TOL_REL * total
     if not (total > tol) or total <= 0.0:
         raise ZeroWeightError("weight carries no positive mass")
 

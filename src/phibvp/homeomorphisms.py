@@ -294,6 +294,8 @@ def inverse_saturating(phi: "Homeomorphism", z):
     return _evaluate(_odd_inverse_fn(phi, "inf"), z)
 
 
+# Nodes of the table's geometric t grid.
+_TABLE_POINTS = 4096
 # Where the table measures each segment's overshoot, as fractions of the
 # segment in log t.
 _TABLE_SAMPLES = np.array([0.25, 0.5, 0.75])
@@ -321,7 +323,7 @@ class _InverseTable:
     runtime.
     """
 
-    def __init__(self, phi: Homeomorphism, z_max: float, points: int = 4096):
+    def __init__(self, phi: Homeomorphism, z_max: float):
         self._exact = None
         if phi._inverse_pos is not None:
             self._exact = _odd_inverse_fn(phi, "inf")
@@ -331,7 +333,7 @@ class _InverseTable:
         if not np.isfinite(t_hi) or t_hi <= 0.0:
             t_hi = float(px[-1])
         t_lo = min(float(px[0]), t_hi * 1e-16)
-        t = np.geomspace(t_lo, t_hi, points)
+        t = np.geomspace(t_lo, t_hi, _TABLE_POINTS)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             z = np.asarray(phi._forward_pos(t), dtype=float)
         good = np.isfinite(z) & (z > 0.0)

@@ -19,12 +19,13 @@ uniformly over a grid of M values.  The largest such c on each M comes
 from a monotone forward equation, with no inverse evaluations.  A bound
 chain runs several of these on one forcing, and each of them reads one
 certificate per forcing, kept in a one-entry memo: the support data, the
-distance to the boundary, the refined cumulative of max(h, 0), the
-one-sided partition around the support midpoint, the exact bracket (the
-smaller one-sided integral of phi^{-1} of the mass), the inverse table
-with the left-hand sides by M grid, and the last solution.  Each piece is
-built on first use.  The memo holds one map and one forcing at a time
-(per thread), and every result equals a fresh computation bit for bit.
+distance to the boundary, the refined cumulative of h (shared with that of
+max(h, 0) when h >= 0), the one-sided partition around the support
+midpoint, the exact bracket (the smaller one-sided integral of phi^{-1} of
+the mass), the inverse table with the left-hand sides by M grid, and the
+last solution.  Each piece is built on first use.  The memo holds one map
+and one forcing at a time (per thread), and every result equals a fresh
+computation bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .homeomorphisms import (Homeomorphism, _InverseTable, _midpoint,
                              inverse_saturating)
 
 DEFAULT_TOL = 1e-10
-DEFAULT_REFINE = 16
+_REFINE = 16
 
 # The one-sided integrals in the comparison-constant estimate go through
 # ``_InverseTable``, which lies below phi^{-1} by construction.  This
@@ -90,18 +91,18 @@ class _RefinedCumulative:
     """Cumulative integral of a piecewise-linear integrand, refined in-cell.
 
     Within each grid cell the cumulative of the linear interpolant is an
-    exact quadratic; sampling it on ``refine`` uniform subintervals per cell
-    gives a fine partition on which all downstream quadratures agree with
-    the plain nodal trapezoid rule at the nodes themselves.
+    exact quadratic; sampling it on ``_REFINE`` uniform subintervals per
+    cell gives a fine partition on which all downstream quadratures agree
+    with the plain nodal trapezoid rule at the nodes themselves.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, refine: int = DEFAULT_REFINE):
+    def __init__(self, grid: Grid, values: np.ndarray):
         x = grid.nodes
         v = np.asarray(values, dtype=float)
         w = grid.cell_widths
         node_H = cumulative_trapezoid_values(grid, v)
 
-        s = np.linspace(0.0, 1.0, refine + 1)
+        s = np.linspace(0.0, 1.0, _REFINE + 1)
         offs = w[:, None] * s[None, :]
         slope = (v[1:] - v[:-1]) / w
         cell_H = node_H[:-1, None] + v[:-1, None] * offs + 0.5 * slope[:, None] * offs ** 2
@@ -111,12 +112,11 @@ class _RefinedCumulative:
 
         self.grid = grid
         self.values = v
-        self.refine = refine
         self.node_H = node_H
         self.slope = slope
         self.cell_H = cell_H
         self.cell_x = cell_x
-        self.sub_w = w / refine
+        self.sub_w = w / _REFINE
         self.fine_x = np.concatenate(([x[0]], cell_x[:, 1:].ravel()))
         self.fine_H = np.concatenate(([0.0], cell_H[:, 1:].ravel()))
 
@@ -200,11 +200,12 @@ def _flux_root(defect, lo, hi):
     return min(lo_end, hi_end, key=lambda end: abs(end[1]))
 
 
-def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = DEFAULT_TOL,
-                 refine: int = DEFAULT_REFINE) -> SolutionProfile:
+def solve_linear(phi: Homeomorphism, h: GridFunction,
+                 tol: float = DEFAULT_TOL) -> SolutionProfile:
     """Solve -phi(u')' = h with zero boundary values.
 
-    The flux constant is found to the last representable bit on the bracket
+    H is sampled exactly on 16 uniform subintervals per grid cell.  The
+    flux constant is found to the last representable bit on the bracket
     [min H, max H], on which the discrete boundary functional F changes
     sign, by a safeguarded Illinois iteration (see ``_flux_root``); ``tol``
     is the acceptance threshold on the remaining relative defect of
@@ -215,7 +216,8 @@ def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = DEFAULT_TOL,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    rc = _RefinedCumulative(h.grid, h.values, refine)
+    cert = _certificate(phi, h)
+    rc = cert.cumulative
     grid = h.grid
     span = grid.b - grid.a
 
@@ -231,7 +233,7 @@ def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = DEFAULT_TOL,
                 "phi^{-1}(c - H) leaves the range of phi at both signs" % c)
         if up or down:
             return (np.inf if up else -np.inf), g, None
-        cell_int = rc.integrate_cells(sliding_window_view(g, refine + 1)[::refine])
+        cell_int = rc.integrate_cells(sliding_window_view(g, _REFINE + 1)[::_REFINE])
         return float(np.sum(cell_int)), g, cell_int
 
     lo = float(np.min(rc.fine_H))
@@ -260,10 +262,10 @@ def solve_linear(phi: Homeomorphism, h: GridFunction, tol: float = DEFAULT_TOL,
     # constant stays in ``residual`` rather than polluting the profile.
     u_values[-1] = 0.0
     # GridFunction copies its values, so the memo's array is its own.
-    _certificate(phi, h).solved = (tol, refine, u_values)
+    cert.solved = (tol, u_values)
     return SolutionProfile(
         u=GridFunction(grid, u_values),
-        du=GridFunction(grid, g[::refine]),
+        du=GridFunction(grid, g[::_REFINE]),
         c_star=float(c),
         residual=residual,
     )
@@ -327,8 +329,8 @@ def cone_lower_bound(phi: Homeomorphism, h: GridFunction,
     arguments; when the caller has just computed it, it comes from the memo.
     """
     cert = _certificate(phi, h)
-    u = cert.solution(DEFAULT_TOL, DEFAULT_REFINE)
-    if u is None:
+    tol, u = cert.solved
+    if tol != DEFAULT_TOL:
         u = solve_linear(phi, h).u.values
     return _in_cone(u, cert.delta, cert.support.theta_under, slack)
 
@@ -339,13 +341,14 @@ class _Certificate:
     ``solve_linear`` makes an entry for every forcing it solves, signed ones
     and Picard iterates included, so every piece is built on first use:
     ``support`` (support data; raises on a signed forcing), ``delta`` (the
-    distance to the boundary), ``clamped`` (the refined cumulative of
-    max(h, 0)), ``partition`` (trapezoid weights and mass differences
+    distance to the boundary), ``cumulative`` (the refined cumulative of h),
+    ``clamped`` (that of max(h, 0), the same object when h has no negative
+    entry), ``partition`` (trapezoid weights and mass differences
     ``(wl, dl, wr, dr)`` either side of the support midpoint), ``bracket``
     (min(wl @ phi^{-1}(dl), wr @ phi^{-1}(dr)) through ``phi.inverse``), the
     inverse table for one ceiling with the left-hand sides it gave by M grid
-    (a new ceiling replaces both), and the nodal values of the last
-    ``solve_linear`` with its ``(tol, refine)``.
+    (a new ceiling replaces both), and ``solved``, the ``(tol, u)`` of the
+    last ``solve_linear``.
     """
 
     def __init__(self, phi: Homeomorphism, h: GridFunction, key: tuple):
@@ -355,7 +358,7 @@ class _Certificate:
         self.ceiling = None
         self.table = None
         self.lhs_by_grid = {}
-        self.solved = None
+        self.solved = (None, None)
 
     @cached_property
     def support(self) -> SupportData:
@@ -366,7 +369,13 @@ class _Certificate:
         return dist_to_boundary(self.h.grid).values
 
     @cached_property
+    def cumulative(self) -> _RefinedCumulative:
+        return _RefinedCumulative(self.h.grid, self.h.values)
+
+    @cached_property
     def clamped(self) -> _RefinedCumulative:
+        if not np.any(self.h.values < 0.0):
+            return self.cumulative
         return _RefinedCumulative(self.h.grid, np.maximum(self.h.values, 0.0))
 
     @cached_property
@@ -400,13 +409,6 @@ class _Certificate:
                              float(wr @ self.table(m * dr)))
             self.lhs_by_grid[key] = out * (1.0 - _TABLE_MARGIN)
         return self.lhs_by_grid[key]
-
-    def solution(self, tol: float, refine: int):
-        """The nodal values of the remembered solve, if it used these
-        arguments, else None."""
-        if self.solved is not None and self.solved[:2] == (tol, refine):
-            return self.solved[2]
-        return None
 
 
 # One entry per thread, so that no two threads share an entry's table.

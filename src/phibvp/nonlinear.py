@@ -21,9 +21,16 @@ from .errors import ConstructionError, ConvergenceError, ZeroWeightError
 from .grids import (GridFunction, _cell_trapezoids, cumulative_trapezoid_values,
                     dist_to_boundary, integral, sup_norm)
 from .homeomorphisms import _odd_inverse_fn, inverse_saturating
-from .linear import SolutionProfile, solve_linear
+from .linear import (SolutionProfile, estimate_comparison_constant, solve_linear,
+                     verify_comparison_constant)
 from .problems import ProblemSpec, rhs
 
+# Largest violation (in each check's units) that the two verifiers pass.
+_VERIFY_SLACK = 1e-9
+# Picard steps ``solve_between`` takes before it gives up.
+_PICARD_STEPS = 200
+# Subintervals per cell of the quadrature in ``_integrated_defect``.
+_DEFECT_REFINE = 16
 
 class VerifyResult(NamedTuple):
     passed: bool
@@ -56,15 +63,14 @@ class SubSuperPair:
     kappa_lambda: float
     epsilon: float
     lambda0: float
-    corner_set: tuple = ()
 
 
 def _cell_means(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[:-1] + values[1:])
 
 
-def _verify_profile(spec: ProblemSpec, profile: SolutionProfile, slack: float,
-                    corners, sense: int) -> VerifyResult:
+def _verify_profile(spec: ProblemSpec, profile: SolutionProfile, corners,
+                    sense: int) -> VerifyResult:
     """Shared body of the two verifiers; sense +1 checks a supersolution."""
     grid = spec.grid
     x = grid.nodes
@@ -86,10 +92,8 @@ def _verify_profile(spec: ProblemSpec, profile: SolutionProfile, slack: float,
         boundary_viol = max(u[0], u[-1])
 
     corner_viol = 0.0
-    corner_cells = []
     for tau in corners:
         j = int(np.clip(np.searchsorted(x, tau) - 1, 0, grid.count - 2))
-        corner_cells.append(j)
         jump = du[j + 1] - du[j]
         corner_viol = max(corner_viol, sense * jump)
     # A corner-bearing cell carries a flux jump of the favorable sign, so
@@ -97,27 +101,28 @@ def _verify_profile(spec: ProblemSpec, profile: SolutionProfile, slack: float,
     # check stays active there on purpose.
 
     raw = max(float(np.max(cell_viol)), boundary_viol, corner_viol)
-    return VerifyResult(passed=raw <= slack,
+    return VerifyResult(passed=raw <= _VERIFY_SLACK,
                         max_violation=raw if raw > 0.0 else 0.0)
 
 
 def verify_supersolution(spec: ProblemSpec, w: SolutionProfile,
-                         slack: float = 1e-9, corners=()) -> VerifyResult:
+                         corners=()) -> VerifyResult:
     """Check the discrete supersolution inequalities for a profile.
 
     Cellwise, the decrease of phi(w') across each cell must dominate the
     cell-averaged right-hand side evaluated at w; the boundary values must
     be nonnegative; and at each corner location the slope must drop.  The
     result reports the worst violation in natural units (defect per unit
-    length for cells, value for boundaries, slope gap for corners).
+    length for cells, value for boundaries, slope gap for corners); it
+    passes up to 1e-9.
     """
-    return _verify_profile(spec, w, slack, corners, sense=+1)
+    return _verify_profile(spec, w, corners, sense=+1)
 
 
 def verify_subsolution(spec: ProblemSpec, v: SolutionProfile,
-                       slack: float = 1e-9, corners=()) -> VerifyResult:
+                       corners=()) -> VerifyResult:
     """Mirror image of ``verify_supersolution`` with all inequalities reversed."""
-    return _verify_profile(spec, v, slack, corners, sense=-1)
+    return _verify_profile(spec, v, corners, sense=-1)
 
 
 def _largest_prefix_valid(grid_points: np.ndarray, cond, what: str) -> float:
@@ -214,8 +219,6 @@ def build_subsolution(spec: ProblemSpec, comparison_constant: float,
     if rho_p <= 0.0:
         raise ZeroWeightError("m * delta^q carries no mass")
 
-    from .linear import estimate_comparison_constant, verify_comparison_constant
-
     c = float(comparison_constant)
     M = 1.0 / (spec.lam * c0 * c ** q)
     for _ in range(5):
@@ -254,8 +257,6 @@ def build_subsolution(spec: ProblemSpec, comparison_constant: float,
 def make_sub_super_pair(spec: ProblemSpec,
                         comparison_constant: Optional[float] = None) -> SubSuperPair:
     """Build, order, and verify a subsolution/supersolution pair."""
-    from .linear import estimate_comparison_constant
-
     sup = build_supersolution(spec)
     if comparison_constant is None:
         c0, t0, q = spec.f_constants
@@ -274,8 +275,7 @@ def make_sub_super_pair(spec: ProblemSpec,
 
 
 def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
-                  max_iter: int = 200, tol: float = 1e-8,
-                  history: Optional[list] = None) -> SolutionProfile:
+                  tol: float = 1e-8, history: Optional[list] = None) -> SolutionProfile:
     """Picard iteration clamped to an ordered profile pair.
 
     Each step solves the linear problem with the right-hand side evaluated
@@ -286,7 +286,7 @@ def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
     (the change in the cumulative right-hand side between the last two
     iterates) falls below 10 * tol; that defect becomes the profile's
     residual.  ``history``, when given, collects the iterate sup-norms.
-    Raises ``ConvergenceError`` carrying the last iterate otherwise.
+    Raises ``ConvergenceError``, carrying the last iterate, after 200 steps.
     """
     lo = v.u.values
     hi = w.u.values
@@ -303,7 +303,7 @@ def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
     current = v
     forcing = clamped_forcing(current.u.values)
     gap = math.inf
-    for iteration in range(1, max_iter + 1):
+    for _ in range(_PICARD_STEPS):
         nxt = solve_linear(spec.phi, forcing)
         gap = float(np.max(np.abs(nxt.u.values - current.u.values)))
         next_forcing = clamped_forcing(nxt.u.values)
@@ -317,14 +317,14 @@ def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
         current, forcing = nxt, next_forcing
     raise ConvergenceError(
         "bracketed iteration did not converge in %d steps (gap %g)"
-        % (max_iter, gap), gap=gap, iterations=max_iter, profile=current)
+        % (_PICARD_STEPS, gap), gap=gap, iterations=_PICARD_STEPS, profile=current)
 
 
 _BLOWUP_STATE = 1e12
 _BLOWUP_FLUX = 1e300
 
 
-def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
+def _shoot_batch(spec: ProblemSpec, s_values):
     """March the shooting system for a batch of initial slopes at once.
 
     Returns (terminal, U, Z, crossed, x_cross, blown).  U and Z hold the
@@ -334,10 +334,10 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
     value becomes -(b - x_cross).  Lanes whose state leaves the overflow
     guard freeze at their last finite state.
 
-    The march only notes, per lane, the substep in which it first crosses
-    zero and the state it started that substep from.  The crossings are
-    located after the march, in one batch: 45 halvings of the substep
-    fraction, each one RK4 step over every crossed lane.
+    One RK4 step per cell.  The march only notes, per lane, the cell in
+    which it first crosses zero and the state it entered that cell with.
+    The crossings are located after the march, in one batch: 45 halvings
+    of the cell fraction, each one RK4 step over every crossed lane.
     """
     grid = spec.grid
     x = grid.nodes
@@ -360,16 +360,11 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
     crossed = np.zeros(lanes, dtype=bool)
     x_cross = np.full(lanes, np.nan)
     blown = np.zeros(lanes, dtype=bool)
-    # Per lane: the substep (counted over the whole march) in which it
-    # first crosses zero, and its state at the start of that substep.
+    # Per lane: the cell in which it first crosses zero, and its state at
+    # the start of that cell.
     cross_at = np.zeros(lanes, dtype=int)
     cross_u = np.empty(lanes)
     cross_z = np.empty(lanes)
-
-    if step is None:
-        n_sub = 1
-    else:
-        n_sub = max(1, int(math.ceil(float(np.max(widths)) / step)))
 
     # Bound once, outside the public entries: their per-call scalar
     # handling and error state would dominate the per-stage cost on small
@@ -397,33 +392,27 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(grid.count - 1):
-            h_sub = widths[i] / n_sub
-            mc, nc = lm[i], mn[i]
-            for k in range(n_sub):
-                u0 = u
-                z0 = z
-                u1, z1 = rk4(u0, z0, h_sub, mc, nc)
-                bad = (~blown) & (~np.isfinite(u1) | ~np.isfinite(z1)
-                                  | (np.abs(u1) > _BLOWUP_STATE)
-                                  | (np.abs(z1) > _BLOWUP_FLUX))
-                keep = blown | bad
-                u = np.where(keep, u0, u1)
-                z = np.where(keep, z0, z1)
-                blown = blown | bad
+            u1, z1 = rk4(u, z, widths[i], lm[i], mn[i])
+            bad = (~blown) & (~np.isfinite(u1) | ~np.isfinite(z1)
+                              | (np.abs(u1) > _BLOWUP_STATE)
+                              | (np.abs(z1) > _BLOWUP_FLUX))
+            blown = blown | bad
 
-                hits = (~blown) & (~crossed) & (u0 >= 0.0) & (u < 0.0)
-                if np.any(hits):
-                    cross_at[hits] = i * n_sub + k
-                    cross_u[hits] = u0[hits]
-                    cross_z[hits] = z0[hits]
-                    crossed |= hits
+            hits = (~blown) & (~crossed) & (u >= 0.0) & (u1 < 0.0)
+            if np.any(hits):
+                cross_at[hits] = i
+                cross_u[hits] = u[hits]
+                cross_z[hits] = z[hits]
+                crossed |= hits
+            u = np.where(blown, u, u1)
+            z = np.where(blown, z, z1)
             U[:, i + 1] = u
             Z[:, i + 1] = z
 
         idx = np.flatnonzero(crossed)
         if idx.size:
-            cell, k = np.divmod(cross_at[idx], n_sub)
-            h = widths[cell] / n_sub
+            cell = cross_at[idx]
+            h = widths[cell]
             u0, z0 = cross_u[idx], cross_z[idx]
             mc, nc = lm[cell], mn[cell]
             lo = np.zeros(idx.size)
@@ -435,14 +424,14 @@ def _shoot_batch(spec: ProblemSpec, s_values, step: Optional[float] = None):
                 lo = np.where(above, mid, lo)
                 hi = np.where(above, hi, mid)
             theta = 0.5 * (lo + hi)
-            x_cross[idx] = x[cell] + k * h + theta * h
+            x_cross[idx] = x[cell] + theta * h
 
     terminal = np.where(crossed, -(grid.b - x_cross), u)
     return terminal, U, Z, crossed, x_cross, blown
 
 
 def _integrated_defect(spec: ProblemSpec, u_nodes: np.ndarray,
-                       z_nodes: np.ndarray, refine: int = 16) -> float:
+                       z_nodes: np.ndarray) -> float:
     """Defect of the flux identity z(x) - z(a) + integral of the right-hand
     side, normalized by 1 + |z(a)|.
 
@@ -453,12 +442,12 @@ def _integrated_defect(spec: ProblemSpec, u_nodes: np.ndarray,
     widths = grid.cell_widths
     m_c = _cell_means(spec.m.values)
     n_c = _cell_means(spec.n.values)
-    frac = np.linspace(0.0, 1.0, refine + 1)
+    frac = np.linspace(0.0, 1.0, _DEFECT_REFINE + 1)
     u_cells = u_nodes[:-1, None] + (np.diff(u_nodes))[:, None] * frac[None, :]
     up = np.maximum(u_cells, 0.0)
     vals = (spec.lam * m_c[:, None] * np.asarray(spec.f(up), dtype=float)
             + spec.mu * n_c[:, None] * np.asarray(spec.g(up), dtype=float))
-    cell_int = _cell_trapezoids(vals, widths / refine)
+    cell_int = _cell_trapezoids(vals, widths / _DEFECT_REFINE)
     Q = np.concatenate(([0.0], np.cumsum(cell_int)))
     defect = float(np.max(np.abs(z_nodes - z_nodes[0] + Q)))
     return defect / (1.0 + abs(float(z_nodes[0])))
@@ -475,18 +464,18 @@ def _profile_from_shot(spec: ProblemSpec, u_nodes, z_nodes) -> SolutionProfile:
     )
 
 
-def shoot(spec: ProblemSpec, s: float, step: Optional[float] = None) -> ShootResult:
+def shoot(spec: ProblemSpec, s: float) -> ShootResult:
     """Integrate from the left endpoint with initial slope s.
 
     The state system is u' = phi^{-1}(z), z' = -(lam m f(u+) + mu n g(u+))
     with the weights frozen per cell at their endpoint mean, one classical
-    fourth-order step per cell (or uniform substeps of size at most
-    ``step``).  The terminal value is u(b) when the lane stays nonnegative,
-    otherwise the negated distance from the first zero crossing to b.
+    fourth-order step per grid cell.  The terminal value is u(b) when the
+    lane stays nonnegative, otherwise the negated distance from the first
+    zero crossing to b.
     """
     if not s > 0.0:
         raise ValueError("initial slope must be positive")
-    terminal, U, Z, crossed, _, blown = _shoot_batch(spec, [s], step)
+    terminal, U, Z, crossed, _, blown = _shoot_batch(spec, [s])
     if blown[0]:
         raise ConvergenceError("shooting state exceeded the overflow guard")
     profile = _profile_from_shot(spec, U[0], Z[0])
@@ -511,13 +500,15 @@ def _positive_row(spec, terminal, u_nodes, z_nodes, crossed, blown,
 
 
 _REFINE_PROBES = 15
+# A bracket stops refining once its best terminal is within this multiple
+# of the interval length.
+_DEFECT_TOL_REL = 1e-10
 # A refined root is confirmed when its terminal is within _CONFIRM times
 # the refinement's defect tolerance.
 _CONFIRM = 1e3
 
 
-def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step,
-                     stop_at_first=False):
+def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, stop_at_first):
     """Shrink sign-change brackets in log-s space, batched across brackets.
 
     Each round integrates a batch of interior probes for every active
@@ -550,7 +541,7 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step,
             break
         lc = la[idx, None] + (lb - la)[idx, None] * frac[None, :]
         s_c = np.exp(lc)
-        terminal, U, Z, crossed, _, blown = _shoot_batch(spec, s_c.ravel(), step)
+        terminal, U, Z, crossed, _, blown = _shoot_batch(spec, s_c.ravel())
         if stop_at_first:
             for j in np.flatnonzero(np.abs(terminal) <= accept_tol):
                 if _positive_row(spec, terminal[j], U[j], Z[j], crossed[j],
@@ -589,35 +580,32 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, step,
     return best_s, best_f, None
 
 
-def scan_shooting(spec: ProblemSpec, s_max: float, count: int = 60,
-                  defect_tol: Optional[float] = None,
-                  step: Optional[float] = None) -> list:
+def scan_shooting(spec: ProblemSpec, s_max: float, count: int = 60) -> list:
     """Find all positive solutions visible to a log-spaced slope scan.
 
     Evaluates the terminal defect on ``count`` slopes spread over twelve
-    decades up to ``s_max``, refines every sign change, drops refinements
-    whose defect stayed large (tangency artifacts), merges near-duplicate
-    roots, and keeps only profiles positive on the interior with inward
-    boundary slopes.  Sorted by sup-norm; an empty list is a valid outcome.
+    decades up to ``s_max`` (one RK4 step per grid cell), refines every
+    sign change to a terminal within 1e-10 times the interval length, drops
+    refinements whose terminal stayed above 1e3 times that (tangency
+    artifacts), merges near-duplicate roots, and keeps only profiles
+    positive on the interior with inward boundary slopes.  Sorted by
+    sup-norm; an empty list is a valid outcome.
     """
-    return _scan(spec, s_max, count, defect_tol, step)
+    return _scan(spec, s_max, count)
 
 
-def _scan(spec, s_max, count, defect_tol=None, step=None,
-          stop_at_first=False):
+def _scan(spec, s_max, count, stop_at_first=False):
     """Body of ``scan_shooting``.  With ``stop_at_first`` set it serves
     existence checks: the refinement ends at the first confirmed bracketed
     root, whose profile comes back alone.  A scan that confirms no probe
     during the refinement finishes as ``scan_shooting`` does."""
     if not (s_max > 0.0 and count >= 2):
         raise ValueError("need s_max > 0 and count >= 2")
-    span = spec.grid.b - spec.grid.a
-    if defect_tol is None:
-        defect_tol = 1e-10 * span
+    defect_tol = _DEFECT_TOL_REL * (spec.grid.b - spec.grid.a)
     accept_tol = _CONFIRM * defect_tol
 
     s_grid = np.geomspace(s_max * 1e-12, s_max, count)
-    terminal = _shoot_batch(spec, s_grid, step)[0]
+    terminal = _shoot_batch(spec, s_grid)[0]
 
     sign_change = terminal[:-1] * terminal[1:] < 0.0
     lo_idx = np.flatnonzero(sign_change)
@@ -625,8 +613,7 @@ def _scan(spec, s_max, count, defect_tol=None, step=None,
     if lo_idx.size:
         best_s, best_f, first = _refine_brackets(
             spec, s_grid[lo_idx], s_grid[lo_idx + 1],
-            terminal[lo_idx], terminal[lo_idx + 1], defect_tol, step,
-            stop_at_first)
+            terminal[lo_idx], terminal[lo_idx + 1], defect_tol, stop_at_first)
         if first is not None:
             return [first]
         confirmed = np.abs(best_f) <= accept_tol
@@ -641,7 +628,7 @@ def _scan(spec, s_max, count, defect_tol=None, step=None,
     if not deduped:
         return []
 
-    final_term, U, Z, crossed, _, blown = _shoot_batch(spec, np.asarray(deduped), step)
+    final_term, U, Z, crossed, _, blown = _shoot_batch(spec, np.asarray(deduped))
     profiles = [_profile_from_shot(spec, U[row], Z[row])
                 for row in range(len(deduped))
                 if _positive_row(spec, final_term[row], U[row], Z[row],

@@ -27,6 +27,13 @@ _LN2 = math.log(2.0)
 _SATURATION_RATIO = 1e100
 _BIG = math.log(1e6)
 _TINY_NORMAL = float(np.finfo(float).tiny)
+# The fixed discretizations of the checks below, and the duality pass
+# threshold; each docstring states the values it uses.
+_K_MIN, _K_MAX, _FIT_POINTS = 12, 40, 12
+_LIMIT_K = np.arange(8, 101, dtype=float)
+_CHECK_X_GRID = np.geomspace(1e-8, 1e8, _GRID_POINTS)
+_CHECK_T_GRID = 2.0 ** np.linspace(-40.0, 40.0, 161)
+_DUALITY_TOL = 0.05
 
 
 class LimitClass(Enum):
@@ -43,12 +50,12 @@ class HypothesisVerdict(Enum):
     UNDECIDED = "undecided"
 
 
-def representable_x_grid(phi: Homeomorphism, points: int = _GRID_POINTS) -> np.ndarray:
+def representable_x_grid(phi: Homeomorphism) -> np.ndarray:
     """Log-spaced grid spanning the decades where phi is finite and positive,
     starting no lower than the smallest normal float: below it x itself is
     quantized, and for an inverse map so are the targets it inverts."""
     px, _ = phi._probe_ladder()
-    return np.geomspace(max(float(px[0]), _TINY_NORMAL), px[-1], points)
+    return np.geomspace(max(float(px[0]), _TINY_NORMAL), px[-1], _GRID_POINTS)
 
 
 def growth_ratio(phi: Homeomorphism, t: float, x_grid=None) -> float:
@@ -112,32 +119,30 @@ def _ls_slope(x: np.ndarray, y: np.ndarray):
     return float(slope), rms
 
 
-def estimate_indices(phi: Homeomorphism, k_min: int = 12, k_max: int = 40,
-                     fit_points: int = 12) -> IndexEstimate:
+def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     """Estimate both growth exponents from dyadic samples of the growth ratio.
 
+    The ratio is sampled at t = 2^-k and t = 2^k for k = 12, ..., 40, each
+    on 10^4 log-spaced x over the decades where phi is finite and positive.
     The lower exponent is the least-squares slope of ln M(t) against ln t
-    over t = 2^-k for the deepest ``fit_points`` values of k; the upper
-    exponent is fitted the same way over t = 2^k.  The upper one is
+    over the deepest 12 values of t = 2^-k; the upper exponent is fitted the
+    same way over the largest 12 values of t = 2^k.  The upper one is
     reported as inf when the ratio saturates (a non-finite or absurdly
     large sample) or when the slope still grows across the window, both of
     which signal faster-than-power growth.  A lower slope under 0.02 is
     snapped to exactly 0: at that size it is indistinguishable from the
     logarithmic corrections of a zero-exponent map.
     """
-    if not (k_min >= 1 and k_max > k_min and fit_points >= 2):
-        raise ValueError("need 1 <= k_min < k_max and at least two fit points")
-    fit_points = min(fit_points, k_max - k_min + 1)
     grid = representable_x_grid(phi)
     den = np.asarray(phi.forward(grid), dtype=float)
-    ks = np.arange(k_min, k_max + 1)
+    ks = np.arange(_K_MIN, _K_MAX + 1)
 
     m_small = np.array([_sampled_ratio(phi, 2.0 ** (-k), grid, den) for k in ks])
     m_large = np.array([_sampled_ratio(phi, 2.0 ** k, grid, den) for k in ks])
 
     ln_t_small = -ks * _LN2
-    alpha_raw, alpha_rms = _ls_slope(ln_t_small[-fit_points:],
-                                     np.log(m_small[-fit_points:]))
+    alpha_raw, alpha_rms = _ls_slope(ln_t_small[-_FIT_POINTS:],
+                                     np.log(m_small[-_FIT_POINTS:]))
     alpha_hat = 0.0 if alpha_raw < 0.02 else alpha_raw
 
     saturated = bool(np.any(~np.isfinite(m_large))
@@ -153,14 +158,14 @@ def estimate_indices(phi: Homeomorphism, k_min: int = 12, k_max: int = 40,
         if slope_late_full - slope_early > 0.5:
             beta_hat, beta_rms = math.inf, 0.0
         else:
-            beta_hat, beta_rms = _ls_slope(ln_t_large[-fit_points:],
-                                           ln_m[-fit_points:])
+            beta_hat, beta_rms = _ls_slope(ln_t_large[-_FIT_POINTS:],
+                                           ln_m[-_FIT_POINTS:])
 
     return IndexEstimate(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
-        t_small_range=(2.0 ** (-k_max), 2.0 ** (-k_min)),
-        t_large_range=(2.0 ** k_min, 2.0 ** k_max),
+        t_small_range=(2.0 ** (-_K_MAX), 2.0 ** (-_K_MIN)),
+        t_large_range=(2.0 ** _K_MIN, 2.0 ** _K_MAX),
         fit_residual=max(alpha_rms, beta_rms),
     )
 
@@ -187,18 +192,16 @@ def _doubling_sup(phi: Homeomorphism, x: np.ndarray) -> float:
     return float(np.max(num[valid] / den[valid]))
 
 
-def check_delta2(phi: Homeomorphism, x_grid=None) -> Delta2Result:
+def check_delta2(phi: Homeomorphism) -> Delta2Result:
     """Test the doubling condition phi(2x) <= k phi(x).
 
-    The doubling constant is sampled on the grid and again on a grid whose
-    range is extended tenfold at both ends; the condition is reported to
-    hold when both samples are finite and the extension grows the constant
-    by less than a factor of two.  Exponential-type maps blow past both
-    gates; power-log maps settle immediately.
+    The doubling constant is sampled on 10^4 log-spaced x in [1e-8, 1e8]
+    and again on as many in [1e-9, 1e9]; the condition is reported to hold
+    when both samples are finite and the extension grows the constant by
+    less than a factor of two.  Exponential-type maps blow past both gates;
+    power-log maps settle immediately.
     """
-    if x_grid is None:
-        x_grid = np.geomspace(1e-8, 1e8, _GRID_POINTS)
-    x = np.asarray(x_grid, dtype=float)
+    x = _CHECK_X_GRID
     base = _doubling_sup(phi, x)
     ext = np.geomspace(x[0] / 10.0, x[-1] * 10.0, x.size)
     k_ext = _doubling_sup(phi, ext)
@@ -216,7 +219,7 @@ class PhiConditionReport(NamedTuple):
     q: float
 
 
-def check_phi_conditions(phi: Homeomorphism, x_grid=None, t_grid=None,
+def check_phi_conditions(phi: Homeomorphism,
                          estimate: Optional[IndexEstimate] = None) -> PhiConditionReport:
     """Search for a two-sided power comparison around phi.
 
@@ -226,9 +229,11 @@ def check_phi_conditions(phi: Homeomorphism, x_grid=None, t_grid=None,
 
         min(t^p, t^q) phi(x) / C  <=  phi(t x)  <=  C max(t^p, t^q) phi(x)
 
-    over the sampled (t, x) pairs.  Success returns the comparison pair as
-    descriptor strings; a zero lower estimate or an unbounded upper one
-    reports failure immediately, since no power pair can work.
+    over the sampled pairs: t = 2^j for 161 values of j evenly spaced in
+    [-40, 40], and 10^4 log-spaced x in [1e-8, 1e8].  Success returns the
+    comparison pair as descriptor strings; a zero lower estimate or an
+    unbounded upper one reports failure immediately, since no power pair
+    can work.
 
     ``phi_prime_cond`` is the relaxed variant that keeps the power-pair
     lower inequality but only asks for some finite majorant on the upper
@@ -244,12 +249,8 @@ def check_phi_conditions(phi: Homeomorphism, x_grid=None, t_grid=None,
                                   math.nan, math.nan)
     p = a - 0.05
     q = b + 0.05
-    if x_grid is None:
-        x_grid = np.geomspace(1e-8, 1e8, _GRID_POINTS)
-    if t_grid is None:
-        t_grid = 2.0 ** np.linspace(-40.0, 40.0, 161)
-    x = np.asarray(x_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
+    x = _CHECK_X_GRID
+    t = _CHECK_T_GRID
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         num = np.asarray(phi.forward(t[:, None] * x[None, :]), dtype=float)
@@ -273,12 +274,12 @@ def check_phi_conditions(phi: Homeomorphism, x_grid=None, t_grid=None,
     return PhiConditionReport(ok, psi1, psi2, prime_ok, constant, p, q)
 
 
-def classify_limit(phi: Homeomorphism, q: float, end: str,
-                   k_min: int = 8, k_max: int = 100) -> LimitClass:
+def classify_limit(phi: Homeomorphism, q: float, end: str) -> LimitClass:
     """Classify the limit of t^q / phi(t) at one end of the half-line.
 
     ``end`` is "zero_plus" or "infinity".  The quotient is tracked in log
-    space along dyadic t ordered toward the limit; a monotone log-sequence
+    space along dyadic t = 2^-k (at zero) or 2^k (at infinity) for
+    k = 8, ..., 100, ordered toward the limit; a monotone log-sequence
     ending beyond 1e6 (or below 1e-6) is called infinite (or zero), a tail
     pinned within 10 percent with negligible drift is called finite
     positive, and anything else is left indeterminate rather than guessed.
@@ -288,8 +289,7 @@ def classify_limit(phi: Homeomorphism, q: float, end: str,
     if end not in ("zero_plus", "infinity"):
         raise ValueError("end must be 'zero_plus' or 'infinity'")
     sign = -1.0 if end == "zero_plus" else 1.0
-    ks = np.arange(k_min, k_max + 1, dtype=float)
-    ln_t = sign * ks * _LN2
+    ln_t = sign * _LIMIT_K * _LN2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(phi.forward(np.exp(ln_t)), dtype=float)
     valid = np.isfinite(vals) & (vals > 0.0)
@@ -333,13 +333,14 @@ class DualityResult:
         return self.passed
 
 
-def duality_check(phi: Homeomorphism, tol: float = 0.05) -> DualityResult:
+def duality_check(phi: Homeomorphism) -> DualityResult:
     """Check that the exponents of the inverse are reciprocals of phi's.
 
     Estimates indices on both sides and compares beta(phi) with
     1/alpha(inverse) and alpha(phi) with 1/beta(inverse), reading 1/0 as
     inf and 1/inf as 0.  Residuals between one finite and one infinite
-    side are infinite, so a genuine mismatch can never sneak under ``tol``.
+    side are infinite, so a genuine mismatch can never sneak under the
+    pass threshold of 0.05 on each residual.
     """
     est = estimate_indices(phi)
     inv_est = estimate_indices(inverse_homeomorphism(phi))
@@ -348,7 +349,8 @@ def duality_check(phi: Homeomorphism, tol: float = 0.05) -> DualityResult:
     alpha_residual = _identity_residual(est.alpha_hat,
                                         _reciprocal_index(inv_est.beta_hat))
     return DualityResult(
-        passed=bool(beta_residual <= tol and alpha_residual <= tol),
+        passed=bool(beta_residual <= _DUALITY_TOL
+                    and alpha_residual <= _DUALITY_TOL),
         beta_residual=beta_residual,
         alpha_residual=alpha_residual,
         estimate=est,

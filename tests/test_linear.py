@@ -13,8 +13,8 @@ from phibvp import (CATALOG_DESCRIPTORS, ConvergenceError, Grid,
                     sup_norm_lower_bound, verify_comparison_constant)
 from phibvp import homeomorphisms
 from phibvp import linear
-from phibvp.linear import (DEFAULT_REFINE, _certificate, _Certificate,
-                           _forward_root_constant, _RefinedCumulative)
+from phibvp.linear import (_certificate, _Certificate, _forward_root_constant,
+                           _RefinedCumulative)
 
 # Closed-form peak of the solution of -phi(u')' = 1 on (0, 1) with zero
 # boundary values, phi the odd power with exponent r:
@@ -99,7 +99,7 @@ def _bisected_flux_constant(phi, h):
     Bisection keeps F(lo) < 0 <= F(hi) down to a two-ulp bracket and takes
     the end with the smaller |F|.  Returns ``(c, residual)``.
     """
-    rc = _RefinedCumulative(h.grid, h.values, DEFAULT_REFINE)
+    rc = _RefinedCumulative(h.grid, h.values)
 
     def defect(c):
         g = phi.inverse(c - rc.cell_H)
@@ -370,9 +370,11 @@ class TestComparisonCertificate:
     def test_one_certificate_per_chain(self, monkeypatch):
         # At the parent of this design the chain ran support_data four
         # times, built the clamped cumulative three times and evaluated the
-        # exact one-sided integrals twice.
+        # exact one-sided integrals twice.  For h >= 0 the solve and the
+        # bounds share one refined cumulative.
         descriptor, _, h = self.CASES[5]
-        supports, clamped, exact = [], [], []
+        assert np.all(h.values >= 0.0)
+        supports, cumulatives, exact = [], [], []
         support_fn, cumulative = linear.support_data, linear._RefinedCumulative
         inverse = Homeomorphism.inverse
 
@@ -380,10 +382,9 @@ class TestComparisonCertificate:
             supports.append(1)
             return support_fn(*args)
 
-        def counted_cumulative(grid, values, *args):
-            if values is not h.values:
-                clamped.append(1)
-            return cumulative(grid, values, *args)
+        def counted_cumulative(grid, values):
+            cumulatives.append(1)
+            return cumulative(grid, values)
 
         def counted_inverse(self, z):
             if np.size(z) > 1:
@@ -395,7 +396,7 @@ class TestComparisonCertificate:
         monkeypatch.setattr(Homeomorphism, "inverse", counted_inverse)
         _chain(_fresh(descriptor), h)
         assert len(supports) == 1
-        assert len(clamped) == 1
+        assert len(cumulatives) == 1
         # One evaluation is two array calls, one per side.
         assert len(exact) == 2
 

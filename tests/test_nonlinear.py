@@ -219,14 +219,13 @@ class TestShooting:
         assert low.crossed
         assert low.terminal == pytest.approx(-0.6, abs=1e-9)
 
-    @pytest.mark.parametrize("step", [None, 1e-3])
-    def test_batched_crossings_match_closed_form(self, step):
+    def test_batched_crossings_match_closed_form(self):
         # One batch whose lanes cross zero at x = 2 s in 24 different
         # cells; RK4 is exact on the quadratic, so every terminal
         # -(1 - 2 s) is limited only by the crossing bisection.
         slopes = np.linspace(0.021, 0.479, 24)
         terminal, _, _, crossed, x_cross, blown = _shoot_batch(
-            constant_rhs_spec(129), slopes, step)
+            constant_rhs_spec(129), slopes)
         assert np.all(crossed) and not np.any(blown)
         assert np.unique(np.floor(x_cross * 128.0)).size == slopes.size
         assert np.max(np.abs(terminal + (1.0 - 2.0 * slopes))) <= 1e-9

@@ -1,14 +1,77 @@
-"""The package's public surface: ``__all__`` resolves, and every name the
-demos, the benchmark and the README take from the package stays in it."""
+"""The package's public surface: ``__all__`` resolves, every name the
+demos, the benchmark and the README take from the package stays in it, the
+parameters of every exported function are pinned, and every demo runs."""
 
 import ast
+import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import phibvp
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# The parameters of every exported function, in order; "=" marks one with
+# a default and "*" a variadic one.  A new option is a one-line change here.
+SIGNATURES = {
+    "build_subsolution": "spec comparison_constant upper=",
+    "build_supersolution": "spec",
+    "check_cone_membership": "profile n slack=",
+    "check_delta2": "phi",
+    "check_phi_conditions": "phi estimate=",
+    "classify_limit": "phi q end",
+    "compute_lambda1": "spec R",
+    "cone_lower_bound": "phi h slack=",
+    "corpus": "seed count grid_size=",
+    "cumulative_integral": "fn",
+    "dist_to_boundary": "grid",
+    "duality_check": "phi",
+    "envelope_bounds": "phi h",
+    "estimate_comparison_constant": "phi h M_grid=",
+    "estimate_indices": "phi",
+    "growth_ratio": "phi t x_grid=",
+    "hypothesis_advisor": "phi q r1 r2 estimate=",
+    "integral": "fn",
+    "inverse_homeomorphism": "phi",
+    "inverse_saturating": "phi z",
+    "json_ready": "value",
+    "lambda_star_bisect": "spec_template lo hi tol= s_max= count=",
+    "make_catalog_entry": "descriptor",
+    "make_power": "r",
+    "make_sub_super_pair": "spec comparison_constant=",
+    "monotone_check": "phi h1 h2 slack=",
+    "numeric_inverse": "phi y",
+    "parse_linear_problem": "path grid_size=",
+    "parse_problem": "path grid_size=",
+    "pointwise_leq": "lo hi slack=",
+    "random_forcing": "rng grid",
+    "read_diagram_csv": "path",
+    "read_grid_function": "path value_column=",
+    "require_same_grid": "*functions",
+    "rhs": "spec u",
+    "scan_shooting": "spec s_max count=",
+    "shoot": "spec s",
+    "solve_between": "spec v w tol= history=",
+    "solve_linear": "phi h tol=",
+    "sup_norm": "fn",
+    "sup_norm_lower_bound": "phi h",
+    "support_data": "h",
+    "sweep": "spec_template lambda_grid s_max count=",
+    "verify_comparison_constant": "phi h c M_grid",
+    "verify_subsolution": "spec v corners=",
+    "verify_supersolution": "spec w corners=",
+    "with_lambda": "spec lam",
+    "write_diagram_csv": "path diagram",
+    "write_json_report": "path payload",
+    "write_profile_csv": "path profile",
+}
 
 
 def _imported_from_package(source):
@@ -41,9 +104,8 @@ def test_all_has_no_duplicates_and_resolves():
 
 def test_demos_import_only_exported_names():
     used = set()
-    demos = sorted((ROOT / "demos").glob("*.py"))
-    assert demos
-    for path in demos:
+    assert DEMOS
+    for path in DEMOS:
         used |= _imported_from_package(path.read_text())
     assert used and used <= set(phibvp.__all__)
 
@@ -60,3 +122,28 @@ def test_readme_imports_only_exported_names():
     for block in _readme_python_blocks():
         used |= _imported_from_package(block)
     assert used and used <= set(phibvp.__all__)
+
+
+def _signature(fn):
+    marks = {inspect.Parameter.VAR_POSITIONAL: "*",
+             inspect.Parameter.VAR_KEYWORD: "**"}
+    return " ".join(
+        marks.get(p.kind, "") + p.name
+        + ("=" if p.default is not inspect.Parameter.empty else "")
+        for p in inspect.signature(fn).parameters.values())
+
+
+def test_exported_function_parameters_are_pinned():
+    found = {name: _signature(getattr(phibvp, name)) for name in phibvp.__all__
+             if inspect.isfunction(getattr(phibvp, name))}
+    assert found == SIGNATURES
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
