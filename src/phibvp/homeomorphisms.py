@@ -172,6 +172,21 @@ def _midpoint(lo, hi):
     return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
 
 
+def _bisect(below, lo, hi, steps):
+    """Halve every lane's bracket ``[lo, hi]`` ``steps`` times.
+
+    ``below(mid)`` maps the lanes' midpoints to a boolean array: True moves
+    a lane's lower end up to its midpoint, False moves its upper end down.
+    Returns the final ``(lo, hi)``.
+    """
+    for _ in range(steps):
+        mid = _midpoint(lo, hi)
+        up = below(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return lo, hi
+
+
 def _invert_positive(phi, targets, out_of_range):
     """Vectorized inverse of the positive branch of ``phi``.
 
@@ -215,13 +230,10 @@ def _invert_positive(phi, targets, out_of_range):
 
         bis = np.flatnonzero(fallback)
         if bis.size:
-            b_lo, b_hi, b_y = lo[bis], hi[bis], targets[bis]
-            for _ in range(64):
-                mid = _midpoint(b_lo, b_hi)
-                below = np.asarray(forward_pos(mid), dtype=float) < b_y
-                b_lo = np.where(below, mid, b_lo)
-                b_hi = np.where(below, b_hi, mid)
-            b_root = _midpoint(b_lo, b_hi)
+            b_y = targets[bis]
+            b_root = _midpoint(*_bisect(
+                lambda mid: np.asarray(forward_pos(mid), dtype=float) < b_y,
+                lo[bis], hi[bis], 64))
             res = np.abs(np.asarray(forward_pos(b_root), dtype=float) - b_y)
             bad = (res > _RESIDUAL_TOL * (1.0 + b_y)) & ~overflow[bis]
             if np.any(bad):

@@ -16,7 +16,8 @@ comparison constant c with
     min of the two one-sided integrals of phi^{-1}(M * mass) >= c phi^{-1}(cM)
 
 uniformly over a grid of M values.  The largest such c on each M comes
-from a monotone forward equation, with no inverse evaluations.  A bound
+from a monotone forward equation, with no inverse evaluations; c is the
+smallest of them, shaved and re-checked on a finer M grid.  A bound
 chain runs several of these on one forcing, and each of them reads one
 certificate per forcing, kept in a one-entry memo: the support data, the
 distance to the boundary, the refined cumulative of h (shared with that of
@@ -40,9 +41,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, UnboundedInputError
 from .grids import (Grid, GridFunction, SupportData, _cell_trapezoids,
-                    cumulative_trapezoid_values, dist_to_boundary,
-                    require_same_grid, support_data)
-from .homeomorphisms import (Homeomorphism, _InverseTable, _midpoint,
+                    _trapezoid_weights, cumulative_trapezoid_values,
+                    dist_to_boundary, require_same_grid, support_data)
+from .homeomorphisms import (Homeomorphism, _InverseTable, _bisect,
                              inverse_saturating)
 
 DEFAULT_TOL = 1e-10
@@ -77,14 +78,6 @@ class SolutionProfile:
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-
-def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    dx = np.diff(points)
-    w = np.zeros_like(points)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
 
 
 class _RefinedCumulative:
@@ -132,23 +125,19 @@ class _RefinedCumulative:
         """Composite trapezoid of fine samples, one integral per cell."""
         return _cell_trapezoids(g_cells, self.sub_w)
 
-    def prefix(self, x_stop: float):
-        """Fine points and cumulative values covering [a, x_stop]."""
-        k = int(np.searchsorted(self.fine_x, x_stop, side="left"))
-        if k < self.fine_x.size and self.fine_x[k] == x_stop:
-            return self.fine_x[:k + 1], self.fine_H[:k + 1]
-        pts = np.append(self.fine_x[:k], x_stop)
-        Hs = np.append(self.fine_H[:k], self.value_at(x_stop))
-        return pts, Hs
-
-    def suffix(self, x_start: float):
-        """Fine points and cumulative values covering [x_start, b]."""
-        k = int(np.searchsorted(self.fine_x, x_start, side="right"))
-        if k > 0 and self.fine_x[k - 1] == x_start:
-            return self.fine_x[k - 1:], self.fine_H[k - 1:]
-        pts = np.concatenate(([x_start], self.fine_x[k:]))
-        Hs = np.concatenate(([self.value_at(x_start)], self.fine_H[k:]))
-        return pts, Hs
+    def split(self, x_mid: float):
+        """The cumulative at ``x_mid`` and the fine points and cumulative
+        values covering [a, x_mid] and [x_mid, b], with ``x_mid`` an end of
+        both: ``(H_mid, (pts_l, H_l), (pts_r, H_r))``.  A fine node keeps
+        its stored value; any other point is evaluated once."""
+        x, H = self.fine_x, self.fine_H
+        k = int(np.searchsorted(x, x_mid, side="left"))
+        if k < x.size and x[k] == x_mid:
+            return H[k], (x[:k + 1], H[:k + 1]), (x[k:], H[k:])
+        H_mid = self.value_at(x_mid)
+        return (H_mid, (np.append(x[:k], x_mid), np.append(H[:k], H_mid)),
+                (np.concatenate(([x_mid], x[k:])),
+                 np.concatenate(([H_mid], H[k:]))))
 
 
 def _flux_root(defect, lo, hi):
@@ -380,10 +369,8 @@ class _Certificate:
 
     @cached_property
     def partition(self):
-        rc, theta_bar = self.clamped, self.support.theta_bar
-        H_mid = rc.value_at(theta_bar)
-        pts_l, H_l = rc.prefix(theta_bar)
-        pts_r, H_r = rc.suffix(theta_bar)
+        H_mid, (pts_l, H_l), (pts_r, H_r) = self.clamped.split(
+            self.support.theta_bar)
         return (_trapezoid_weights(pts_l), np.maximum(H_mid - H_l, 0.0),
                 _trapezoid_weights(pts_r), np.maximum(H_r - H_mid, 0.0))
 
@@ -453,10 +440,12 @@ def _forward_root_constant(phi, lhs, M_values) -> float:
 
     c phi^{-1}(c M) = L holds exactly when t phi(t) = L M and c = phi(t) / M,
     and t phi(t) increases.  Each lane's t is bracketed on the probe ladder,
-    whose products px * pv increase, and bisected 64 times, which reaches
-    adjacent floats.  The lower end, whose product stays below L M, gives
-    the lane's c, so c errs low.  A lane whose target is not finite or lies
-    past the ladder's last finite product does not constrain c.
+    whose products px * pv increase, and bisected 64 times (``_bisect``),
+    which reaches adjacent floats.  The lower end, whose product stays below
+    L M, gives the lane's c, so c is exact up to rounding: c phi^{-1}(c M)
+    can exceed L by a few ulps at the binding lane, far less than the
+    estimate's 0.999 shave.  A lane whose target is not finite or lies past
+    the ladder's last finite product does not constrain c.
     """
     forward = phi._forward_pos
     px, pv = phi._probe_ladder()
@@ -471,26 +460,10 @@ def _forward_root_constant(phi, lhs, M_values) -> float:
         target, M_values = target[bound], M_values[bound]
         idx = np.searchsorted(pp, target, side="left")
         lo = np.where(idx == 0, 0.0, px[np.maximum(idx - 1, 0)])
-        hi = px[idx]
-        for _ in range(64):
-            mid = _midpoint(lo, hi)
-            below = mid * np.asarray(forward(mid), dtype=float) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+        lo, _ = _bisect(
+            lambda mid: mid * np.asarray(forward(mid), dtype=float) < target,
+            lo, px[idx], 64)
         return float(np.min(np.asarray(forward(lo), dtype=float) / M_values))
-
-
-def _bisected_constant(phi, lhs, M_values, lo, hi) -> float:
-    """The largest c in [lo, hi] that passes, to 60 halvings; lo passes."""
-    if _comparison_holds(phi, lhs, hi, M_values):
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _comparison_holds(phi, lhs, mid, M_values):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
@@ -500,13 +473,12 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
     LHS(M) is the smaller of the two one-sided integrals of
     phi^{-1}(M * accumulated mass of h) around the support midpoint.  The
     largest c on each M solves a monotone forward equation (see
-    ``_forward_root_constant``), and c is the smallest of them, capped at
-    1e6; should that c fail the check on the grid, a 60-step bisection on c
-    (the constraint set is a downward-closed interval) replaces it.  The
-    result is shaved slightly, and only values re-verified on a tenfold
-    finer M grid spanning the same range are returned, backing off if
-    needed.  Raises ``ValueError`` when no constant in the search range
-    passes.
+    ``_forward_root_constant``), and c is the smallest of them, clamped
+    into [1e-12, 1e6].  Since c phi^{-1}(c M) increases with c, the result
+    shaved by 0.999 passes the grid with room to spare for rounding; only
+    values re-verified on a tenfold finer M grid spanning the same range
+    are returned, backing off by 0.95 if needed.  Raises ``ValueError``
+    when 1e-12 fails the grid or the back-off runs out.
     """
     M = _normalized_M_grid(M_grid)
     ceiling = float(M[-1])
@@ -516,10 +488,7 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
     lo, hi = 1e-12, 1e6
     if not _comparison_holds(phi, lhs, lo, M):
         raise ValueError("no comparison constant in (1e-12, 1e6] certifies the bound")
-    c = min(_forward_root_constant(phi, lhs, M), hi)
-    if not (c >= lo and _comparison_holds(phi, lhs, c, M)):
-        c = _bisected_constant(phi, lhs, M, lo, hi)
-    c *= 0.999
+    c = min(max(lo, _forward_root_constant(phi, lhs, M)), hi) * 0.999
 
     fine = _refined_M_grid(M)
     lhs_fine = cert.lhs(fine, ceiling)

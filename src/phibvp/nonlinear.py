@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError, ZeroWeightError
 from .grids import (GridFunction, _cell_trapezoids, cumulative_trapezoid_values,
                     dist_to_boundary, integral, sup_norm)
-from .homeomorphisms import _odd_inverse_fn, inverse_saturating
+from .homeomorphisms import (_bisect, _midpoint, _odd_inverse_fn,
+                             inverse_saturating)
 from .linear import (SolutionProfile, estimate_comparison_constant, solve_linear,
                      verify_comparison_constant)
 from .problems import ProblemSpec, rhs
@@ -141,14 +142,8 @@ def _largest_prefix_valid(grid_points: np.ndarray, cond, what: str) -> float:
     if fails.size == 0:
         return float(grid_points[-1])
     j = int(fails[0])
-    lo, hi = float(grid_points[j - 1]), float(grid_points[j])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if bool(cond(np.asarray([mid]))[0]):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    lo, _ = _bisect(cond, grid_points[j - 1:j], grid_points[j:j + 1], 60)
+    return float(lo[0])
 
 
 def build_supersolution(spec: ProblemSpec) -> SupersolutionResult:
@@ -197,7 +192,7 @@ def build_supersolution(spec: ProblemSpec) -> SupersolutionResult:
 
 
 def build_subsolution(spec: ProblemSpec, comparison_constant: float,
-                      upper: Optional[SolutionProfile] = None) -> SubsolutionResult:
+                      upper: SolutionProfile) -> SubsolutionResult:
     """Construct the subsolution profile v solving with forcing eps * m * delta^q.
 
     Uses the near-zero envelope of f and a comparison constant certified for
@@ -205,8 +200,8 @@ def build_subsolution(spec: ProblemSpec, comparison_constant: float,
     eps0 keeps the profile below t0, eps1 keeps the inverse-growth condition
     [phi^{-1}(eps * rho')]^q >= M eps with M = 1/(lam c0 c^q).  When the
     certificate does not cover the M actually needed, the constant is
-    re-estimated on a grid around that M (a few rounds at most).  If
-    ``upper`` is given, eps is halved until the profile lies below it.
+    re-estimated on a grid around that M (a few rounds at most).  Then eps
+    is halved until the profile lies below ``upper``.
     """
     if spec.f_constants is None:
         raise ConstructionError("subsolution recipe needs the near-zero envelope of f")
@@ -242,28 +237,25 @@ def build_subsolution(spec: ProblemSpec, comparison_constant: float,
     eps = 0.5 * min(eps0, eps1)
 
     v = solve_linear(spec.phi, GridFunction(grid, eps * h_base.values))
-    if upper is not None:
-        for _ in range(50):
-            if np.all(v.u.values <= upper.u.values):
-                break
-            eps *= 0.5
-            v = solve_linear(spec.phi, GridFunction(grid, eps * h_base.values))
-        else:
-            raise ConstructionError("could not order the subsolution below the "
-                                    "given profile by halving its scale")
+    for _ in range(50):
+        if np.all(v.u.values <= upper.u.values):
+            break
+        eps *= 0.5
+        v = solve_linear(spec.phi, GridFunction(grid, eps * h_base.values))
+    else:
+        raise ConstructionError("could not order the subsolution below the "
+                                "given profile by halving its scale")
     return SubsolutionResult(v=v, epsilon=eps)
 
 
-def make_sub_super_pair(spec: ProblemSpec,
-                        comparison_constant: Optional[float] = None) -> SubSuperPair:
+def make_sub_super_pair(spec: ProblemSpec) -> SubSuperPair:
     """Build, order, and verify a subsolution/supersolution pair."""
     sup = build_supersolution(spec)
-    if comparison_constant is None:
-        c0, t0, q = spec.f_constants
-        delta = dist_to_boundary(spec.grid)
-        h_base = GridFunction(spec.grid, spec.m.values * delta.values ** q)
-        comparison_constant = estimate_comparison_constant(spec.phi, h_base)
-    sub = build_subsolution(spec, comparison_constant, upper=sup.w)
+    q = spec.f_constants[2]
+    delta = dist_to_boundary(spec.grid)
+    h_base = GridFunction(spec.grid, spec.m.values * delta.values ** q)
+    sub = build_subsolution(spec, estimate_comparison_constant(spec.phi, h_base),
+                            upper=sup.w)
     ok_sub = verify_subsolution(spec, sub.v)
     ok_sup = verify_supersolution(spec, sup.w)
     if not (ok_sub.passed and ok_sup.passed):
@@ -415,15 +407,9 @@ def _shoot_batch(spec: ProblemSpec, s_values):
             h = widths[cell]
             u0, z0 = cross_u[idx], cross_z[idx]
             mc, nc = lm[cell], mn[cell]
-            lo = np.zeros(idx.size)
-            hi = np.ones(idx.size)
-            for _ in range(45):
-                mid = 0.5 * (lo + hi)
-                um, _ = rk4(u0, z0, mid * h, mc, nc)
-                above = um >= 0.0
-                lo = np.where(above, mid, lo)
-                hi = np.where(above, hi, mid)
-            theta = 0.5 * (lo + hi)
+            theta = _midpoint(*_bisect(
+                lambda mid: rk4(u0, z0, mid * h, mc, nc)[0] >= 0.0,
+                np.zeros(idx.size), np.ones(idx.size), 45))
             x_cross[idx] = x[cell] + theta * h
 
     terminal = np.where(crossed, -(grid.b - x_cross), u)

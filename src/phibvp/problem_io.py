@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import PhiBVPError, ProblemFileError
+from .errors import ProblemFileError
 from .grids import Grid, GridFunction
 from .homeomorphisms import Homeomorphism, make_catalog_entry
 from .problems import FConstants, G1Constants, G2Constants, ProblemSpec

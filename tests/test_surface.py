@@ -21,7 +21,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # The parameters of every exported function, in order; "=" marks one with
 # a default and "*" a variadic one.  A new option is a one-line change here.
 SIGNATURES = {
-    "build_subsolution": "spec comparison_constant upper=",
+    "build_subsolution": "spec comparison_constant upper",
     "build_supersolution": "spec",
     "check_cone_membership": "profile n slack=",
     "check_delta2": "phi",
@@ -45,7 +45,7 @@ SIGNATURES = {
     "lambda_star_bisect": "spec_template lo hi tol= s_max= count=",
     "make_catalog_entry": "descriptor",
     "make_power": "r",
-    "make_sub_super_pair": "spec comparison_constant=",
+    "make_sub_super_pair": "spec",
     "monotone_check": "phi h1 h2 slack=",
     "numeric_inverse": "phi y",
     "parse_linear_problem": "path grid_size=",
@@ -147,3 +147,32 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _unused_imports(source):
+    """Names a module imports but never references, ``__future__`` aside;
+    a quoted annotation counts as a reference to the names inside it."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and isinstance(node.annotation, ast.Constant):
+            used |= {name.id for name in ast.walk(ast.parse(node.annotation.value))
+                     if isinstance(name, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_modules_use_every_name_they_import():
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted((ROOT / "src" / "phibvp").glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {name: unused for name, unused in found.items() if unused} == {}
