@@ -20,8 +20,8 @@ from .errors import ConstructionError, ConvergenceError
 from .grids import GridFunction, dist_to_boundary, integral, sup_norm, support_data
 from .homeomorphisms import inverse_saturating
 from .linear import SolutionProfile, _in_cone, estimate_comparison_constant
-from .nonlinear import _largest_prefix_valid, _scan, scan_shooting
-from .problems import ProblemSpec, with_lambda
+from .nonlinear import _largest_prefix_valid, _scan
+from .problems import ProblemSpec
 
 
 class BranchSolution(NamedTuple):
@@ -111,61 +111,113 @@ def compute_lambda1(spec: ProblemSpec, R: float):
     return lambda1, rho
 
 
-def _exists(spec_template: ProblemSpec, lam: float, s_max: float,
-            count: int) -> bool:
-    """Whether ``scan_shooting`` finds a positive solution at ``lam``,
-    answered by a scan that stops at its first confirmed bracketed root."""
-    return bool(_scan(with_lambda(spec_template, lam), s_max, count,
-                      stop_at_first=True))
+# Relative bracket width at which the fold bisection stops by default.
+_FOLD_TOL = 1e-3
+# Bisection steps one fold pass looks ahead: the midpoints those steps may
+# visit are the lanes of one batched existence scan.
+_FOLD_DEPTH = 3
+
+
+def _existence(spec_template: ProblemSpec, lams, s_max: float,
+               count: int) -> list:
+    """Whether ``scan_shooting`` finds a positive solution at each lambda,
+    answered by one batched scan that stops each lambda at its first
+    confirmed bracketed root."""
+    return [bool(found) for found in
+            _scan(spec_template, lams, s_max, count, stop_at_first=True)]
+
+
+def _next_midpoint(lo, hi, tol):
+    """The midpoint the bisection visits from (lo, hi), or None once the
+    bracket is within ``tol`` relative width or its midpoint rounds onto
+    an end."""
+    if not hi - lo > tol * lo:
+        return None
+    mid = 0.5 * (lo + hi)
+    return mid if lo < mid < hi else None
+
+
+def _fold_subtree(lo, hi, tol, depth):
+    """Every midpoint the bisection may visit from (lo, hi) in its next
+    ``depth`` steps."""
+    mid = _next_midpoint(lo, hi, tol) if depth else None
+    if mid is None:
+        return []
+    return [mid, *_fold_subtree(lo, mid, tol, depth - 1),
+            *_fold_subtree(mid, hi, tol, depth - 1)]
+
+
+def _locate_fold(spec_template: ProblemSpec, lo, hi, tol: float,
+                 s_max: float, count: int):
+    """Bisect a bracket whose ends are known to hold a solution (lo) and
+    none (hi), then spot-check the range below the estimate.
+
+    Each pass checks existence at every midpoint of the next
+    ``_FOLD_DEPTH`` bisection steps in one batched scan and then takes
+    those steps, so the estimate is that of a one-midpoint-at-a-time
+    bisection.
+    """
+    while mids := _fold_subtree(lo, hi, tol, _FOLD_DEPTH):
+        exists = dict(zip(mids, _existence(spec_template, mids, s_max, count)))
+        for _ in range(_FOLD_DEPTH):
+            mid = _next_midpoint(lo, hi, tol)
+            if mid is None:
+                break
+            if exists[mid]:
+                lo = mid
+            else:
+                hi = mid
+    estimate = 0.5 * (lo + hi)
+
+    spots = [estimate * frac for frac in (0.7, 0.3, 0.1, 0.03, 0.01)]
+    missed = [lam for lam, found in
+              zip(spots, _existence(spec_template, spots, s_max, count))
+              if not found]
+    for lam, found in zip(missed, _existence(spec_template, missed, s_max,
+                                             4 * count)):
+        if not found:
+            raise ConvergenceError(
+                "existence gap at lambda = %g below the estimated threshold %g"
+                % (lam, estimate))
+    return estimate
 
 
 def lambda_star_bisect(spec_template: ProblemSpec, lo: float, hi: float,
-                       tol: float = 1e-3, s_max: float = 100.0,
+                       tol: float = _FOLD_TOL, s_max: float = 100.0,
                        count: int = 60) -> float:
     """Bisect the existence boundary of the positive-solution set.
 
     Needs a bracket: the scan must find a solution at ``lo`` and none at
-    ``hi``.  Bisection narrows the bracket to relative width ``tol``; the
+    ``hi``.  Bisection narrows the bracket to relative width ``tol`` (which
+    must be positive), or until its midpoint rounds onto an end; the
     estimate is the midpoint.  The parameter range below the estimate is
-    then spot-checked for gaps (a failed probe is retried with a four times
-    denser scan before being treated as fatal).  Every existence check is a
-    scan that stops at its first confirmed bracketed root.
+    then spot-checked for gaps at 0.7, 0.3, 0.1, 0.03 and 0.01 times the
+    estimate (a failed probe is retried with a four times denser scan
+    before being treated as fatal).  Every existence check is a scan that
+    stops at its first confirmed bracketed root.  The checks run as lambda
+    lanes of batched scans: both bracket ends at once, the midpoints of
+    three bisection steps at once, the five spot checks at once, and their
+    retries at once.
     """
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    if not _exists(spec_template, lo, s_max, count):
+    if not tol > 0.0:
+        raise ValueError("need tol > 0")
+    at_lo, at_hi = _existence(spec_template, [lo, hi], s_max, count)
+    if not at_lo:
         raise ValueError("no solution found at the lower bracket end lo = %g" % lo)
-    if _exists(spec_template, hi, s_max, count):
+    if at_hi:
         raise ValueError("a solution still exists at the upper bracket end hi = %g"
                          % hi)
-    while hi - lo > tol * lo:
-        mid = 0.5 * (lo + hi)
-        if _exists(spec_template, mid, s_max, count):
-            lo = mid
-        else:
-            hi = mid
-    estimate = 0.5 * (lo + hi)
-
-    for frac in (0.7, 0.3, 0.1, 0.03, 0.01):
-        lam = estimate * frac
-        if _exists(spec_template, lam, s_max, count):
-            continue
-        if _exists(spec_template, lam, s_max, 4 * count):
-            continue
-        raise ConvergenceError(
-            "existence gap at lambda = %g below the estimated threshold %g"
-            % (lam, estimate))
-    return estimate
+    return _locate_fold(spec_template, lo, hi, tol, s_max, count)
 
 
-def _scan_point(spec_template, lam, s_max, count):
-    spec = with_lambda(spec_template, lam)
-    profiles = scan_shooting(spec, s_max, count)
+def _branch_point(lam, profiles, n):
     sols = tuple(
         BranchSolution(
             sup_norm=sup_norm(p.u),
             initial_slope=float(p.du.values[0]),
-            in_cone=check_cone_membership(p, spec.n),
+            in_cone=check_cone_membership(p, n),
         )
         for p in profiles)
     return BranchPoint(lam=lam, solutions=sols)
@@ -175,17 +227,23 @@ def sweep(spec_template: ProblemSpec, lambda_grid, s_max: float,
           count: int = 60) -> BranchDiagram:
     """Scan every parameter value and assemble the branch diagram.
 
-    Points are scanned in ascending lambda order.  When the solution count
-    drops to zero and stays there, the existence boundary inside the last
-    transition step is located by bisection; interior zero-solution points
-    (gaps) are re-tried with a denser scan and reported as a warning if
-    they persist.
+    All parameter values are scanned together, as lambda lanes of the same
+    marches, each with the result ``scan_shooting`` gives at that value.
+    When the solution count drops to zero and stays there, the existence
+    boundary inside the last transition step is located as
+    ``lambda_star_bisect`` locates it (relative width 1e-3, the same spot
+    checks), without checking again the two ends the sweep has just
+    scanned.  Interior zero-solution points (gaps) are re-tried together
+    with a four times denser scan and reported as a warning if they
+    persist.
     """
     lams = np.sort(np.asarray(lambda_grid, dtype=float))
     if lams.size == 0 or not np.all(lams > 0.0):
         raise ValueError("lambda grid must be nonempty and positive")
 
-    points = [_scan_point(spec_template, lam, s_max, count) for lam in lams]
+    n = spec_template.n
+    points = [_branch_point(lam, found, n) for lam, found in
+              zip(lams, _scan(spec_template, lams, s_max, count))]
 
     counts = [len(p.solutions) for p in points]
     nonempty = [i for i, c in enumerate(counts) if c > 0]
@@ -193,22 +251,20 @@ def sweep(spec_template: ProblemSpec, lambda_grid, s_max: float,
     lambda_star = math.nan
     if nonempty and nonempty[-1] + 1 < len(points):
         i = nonempty[-1]
-        lambda_star = lambda_star_bisect(
-            spec_template, points[i].lam, points[i + 1].lam,
-            s_max=s_max, count=count)
+        lambda_star = _locate_fold(spec_template, points[i].lam,
+                                   points[i + 1].lam, _FOLD_TOL, s_max, count)
 
-    if nonempty:
-        first, last = nonempty[0], nonempty[-1]
-        for i in range(first, last + 1):
-            if counts[i] == 0:
-                retry = _scan_point(spec_template, points[i].lam, s_max, 4 * count)
-                if retry.solutions:
-                    points[i] = retry
-                else:
-                    warnings.warn(
-                        "no solution found at lambda = %g although neighbors "
-                        "have some; scan resolution may be too coarse"
-                        % points[i].lam, stacklevel=2)
+    gaps = [i for i in range(nonempty[0], nonempty[-1])
+            if counts[i] == 0] if nonempty else []
+    for i, found in zip(gaps, _scan(spec_template, lams[gaps], s_max,
+                                    4 * count)):
+        if found:
+            points[i] = _branch_point(lams[i], found, n)
+        else:
+            warnings.warn(
+                "no solution found at lambda = %g although neighbors "
+                "have some; scan resolution may be too coarse"
+                % points[i].lam, stacklevel=2)
 
     return BranchDiagram(points=tuple(points), lambda_star_estimate=lambda_star,
                          spec_snapshot=spec_template)

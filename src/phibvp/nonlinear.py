@@ -24,7 +24,7 @@ from .homeomorphisms import (_bisect, _midpoint, _odd_inverse_fn,
                              inverse_saturating)
 from .linear import (SolutionProfile, estimate_comparison_constant, solve_linear,
                      verify_comparison_constant)
-from .problems import ProblemSpec, rhs
+from .problems import ProblemSpec, rhs, with_lambda
 
 # Largest violation (in each check's units) that the two verifiers pass.
 _VERIFY_SLACK = 1e-9
@@ -316,7 +316,7 @@ _BLOWUP_STATE = 1e12
 _BLOWUP_FLUX = 1e300
 
 
-def _shoot_batch(spec: ProblemSpec, s_values):
+def _shoot_batch(spec: ProblemSpec, s_values, lam=None):
     """March the shooting system for a batch of initial slopes at once.
 
     Returns (terminal, U, Z, crossed, x_cross, blown).  U and Z hold the
@@ -325,6 +325,11 @@ def _shoot_batch(spec: ProblemSpec, s_values):
     zero), but its first crossing location is recorded and its terminal
     value becomes -(b - x_cross).  Lanes whose state leaves the overflow
     guard freeze at their last finite state.
+
+    ``lam``, when given, is each lane's lambda (default ``spec.lam``).  A
+    lane's f-weight in a cell is the product lam * m_c of its own lambda
+    and the cell mean of m, so every lane is bit for bit the march of
+    ``with_lambda(spec, lam)`` alone.
 
     One RK4 step per cell.  The march only notes, per lane, the cell in
     which it first crosses zero and the state it entered that cell with.
@@ -335,13 +340,15 @@ def _shoot_batch(spec: ProblemSpec, s_values):
     x = grid.nodes
     widths = grid.cell_widths
     phi = spec.phi
-    lam, mu = spec.lam, spec.mu
+    mu = spec.mu
     f, g = spec.f, spec.g
     m_c = _cell_means(spec.m.values)
     n_c = _cell_means(spec.n.values)
 
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     lanes = s.size
+    lam = np.broadcast_to(np.asarray(spec.lam if lam is None else lam,
+                                     dtype=float), s.shape)
     u = np.zeros(lanes)
     z = np.atleast_1d(np.asarray(phi.forward(s), dtype=float)).copy()
 
@@ -379,12 +386,11 @@ def _shoot_batch(spec: ProblemSpec, s_values):
         z_new = z_ + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
         return u_new, z_new
 
-    lm = lam * m_c
     mn = mu * n_c
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(grid.count - 1):
-            u1, z1 = rk4(u, z, widths[i], lm[i], mn[i])
+            u1, z1 = rk4(u, z, widths[i], lam * m_c[i], mn[i])
             bad = (~blown) & (~np.isfinite(u1) | ~np.isfinite(z1)
                               | (np.abs(u1) > _BLOWUP_STATE)
                               | (np.abs(z1) > _BLOWUP_FLUX))
@@ -406,7 +412,7 @@ def _shoot_batch(spec: ProblemSpec, s_values):
             cell = cross_at[idx]
             h = widths[cell]
             u0, z0 = cross_u[idx], cross_z[idx]
-            mc, nc = lm[cell], mn[cell]
+            mc, nc = lam[idx] * m_c[cell], mn[cell]
             theta = _midpoint(*_bisect(
                 lambda mid: rk4(u0, z0, mid * h, mc, nc)[0] >= 0.0,
                 np.zeros(idx.size), np.ones(idx.size), 45))
@@ -492,24 +498,38 @@ _DEFECT_TOL_REL = 1e-10
 # A refined root is confirmed when its terminal is within _CONFIRM times
 # the refinement's defect tolerance.
 _CONFIRM = 1e3
+# Most lanes one march holds; wider batches are marched in groups, so the
+# per-node records U and Z stay at most _LANE_CAP rows.
+_LANE_CAP = 1024
 
 
-def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, stop_at_first):
+def _marches(spec, s, lam):
+    """``_shoot_batch`` over the lanes (s, lam) in groups of at most
+    ``_LANE_CAP``; yields each group's first lane index and its outputs."""
+    for start in range(0, s.size, _LANE_CAP):
+        part = slice(start, start + _LANE_CAP)
+        yield start, _shoot_batch(spec, s[part], lam[part])
+
+
+def _refine_brackets(spec, lams, which, s_lo, s_hi, f_lo, f_hi, defect_tol,
+                     stop_at_first):
     """Shrink sign-change brackets in log-s space, batched across brackets.
 
-    Each round integrates a batch of interior probes for every active
-    bracket in a single marching pass (the pass cost is dominated by the
-    cell loop, not by the lane count) and keeps the sub-interval where the
-    terminal value changes sign, narrowing every bracket by a factor of
+    Bracket i belongs to lambda ``lams[which[i]]``.  Each round integrates
+    a batch of interior probes for every active bracket, of every lambda,
+    in a single marching pass (the pass cost is dominated by the cell loop,
+    not by the lane count) and keeps the sub-interval where the terminal
+    value changes sign, narrowing every bracket by a factor of
     ``_REFINE_PROBES + 1`` per pass.  A bracket stops once its best probe
     is within ``defect_tol``.
 
-    Returns (best_s, best_f, first).  With ``stop_at_first`` set, every
-    pass also screens its probes, all of which lie inside sign-change
-    brackets: the first one within the confirmation threshold
-    ``_CONFIRM * defect_tol`` whose marched row ``_positive_row`` accepts
-    ends the search, and ``first`` is that row's profile.  Otherwise
-    ``first`` is None.
+    Returns (best_s, best_f, first), ``first`` holding one entry per
+    lambda.  With ``stop_at_first`` set, every pass also screens its
+    probes, all of which lie inside sign-change brackets: the first one of
+    a lambda within the confirmation threshold ``_CONFIRM * defect_tol``
+    whose marched row ``_positive_row`` accepts ends the search of that
+    lambda's brackets, and its ``first`` entry is that row's profile.
+    Every other entry is None.
     """
     accept_tol = _CONFIRM * defect_tol
     la = np.log(s_lo)
@@ -519,6 +539,7 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, stop_at_first):
     best_s = np.where(np.abs(fa) <= np.abs(fb), s_lo, s_hi)
     best_f = np.where(np.abs(fa) <= np.abs(fb), fa, fb)
     active = np.ones(la.size, dtype=bool)
+    first = [None] * len(lams)
     frac = np.arange(1, _REFINE_PROBES + 1) / (_REFINE_PROBES + 1.0)
 
     for _ in range(60):
@@ -527,13 +548,20 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, stop_at_first):
             break
         lc = la[idx, None] + (lb - la)[idx, None] * frac[None, :]
         s_c = np.exp(lc)
-        terminal, U, Z, crossed, _, blown = _shoot_batch(spec, s_c.ravel())
-        if stop_at_first:
+        lane_of = np.repeat(which[idx], _REFINE_PROBES)
+        f_c = np.empty(s_c.shape)
+        for start, (terminal, U, Z, crossed, _, blown) in _marches(
+                spec, s_c.ravel(), lams[lane_of]):
+            f_c.flat[start:start + terminal.size] = terminal
+            if not stop_at_first:
+                continue
             for j in np.flatnonzero(np.abs(terminal) <= accept_tol):
-                if _positive_row(spec, terminal[j], U[j], Z[j], crossed[j],
-                                 blown[j], accept_tol):
-                    return best_s, best_f, _profile_from_shot(spec, U[j], Z[j])
-        f_c = terminal.reshape(s_c.shape)
+                k = lane_of[start + j]
+                if first[k] is None and _positive_row(
+                        spec, terminal[j], U[j], Z[j], crossed[j], blown[j],
+                        accept_tol):
+                    first[k] = _profile_from_shot(with_lambda(spec, lams[k]),
+                                                  U[j], Z[j])
 
         # Chain endpoint values onto the probe values, then keep the first
         # sign-change cell of each chain as the new bracket.
@@ -558,12 +586,13 @@ def _refine_brackets(spec, s_lo, s_hi, f_lo, f_hi, defect_tol, stop_at_first):
         best_s[idx] = np.where(improved, cand_s, best_s[idx])
         best_f[idx] = np.where(improved, cand_f, best_f[idx])
 
-        done = (~has_flip
+        found = np.array([first[k] is not None for k in which[idx]], dtype=bool)
+        done = (found | ~has_flip
                 | (np.abs(best_f[idx]) < defect_tol)
                 | (np.abs(lb[idx] - la[idx]) < 1e-14))
         active[idx[done]] = False
 
-    return best_s, best_f, None
+    return best_s, best_f, first
 
 
 def scan_shooting(spec: ProblemSpec, s_max: float, count: int = 60) -> list:
@@ -575,49 +604,69 @@ def scan_shooting(spec: ProblemSpec, s_max: float, count: int = 60) -> list:
     refinements whose terminal stayed above 1e3 times that (tangency
     artifacts), merges near-duplicate roots, and keeps only profiles
     positive on the interior with inward boundary slopes.  Sorted by
-    sup-norm; an empty list is a valid outcome.
+    sup-norm; an empty list is a valid outcome.  This is the one-lambda
+    case of the scan that sweeps and fold searches run over many lambda
+    values at once, each lambda a set of lanes of the same marches.
     """
-    return _scan(spec, s_max, count)
+    return _scan(spec, [spec.lam], s_max, count)[0]
 
 
-def _scan(spec, s_max, count, stop_at_first=False):
-    """Body of ``scan_shooting``.  With ``stop_at_first`` set it serves
-    existence checks: the refinement ends at the first confirmed bracketed
-    root, whose profile comes back alone.  A scan that confirms no probe
-    during the refinement finishes as ``scan_shooting`` does."""
+def _scan(spec, lams, s_max, count, stop_at_first=False):
+    """Body of ``scan_shooting`` for every lambda of ``lams`` at once.
+
+    Returns one profile list per lambda, each what ``scan_shooting`` of
+    ``with_lambda(spec, lam)`` returns: the lambda values are lanes of the
+    same marches, bit for bit as if marched alone.  With ``stop_at_first``
+    set it serves existence checks: a lambda's refinement ends at its first
+    confirmed bracketed root, whose profile comes back alone.  A lambda
+    that confirms no probe during the refinement finishes as
+    ``scan_shooting`` does."""
     if not (s_max > 0.0 and count >= 2):
         raise ValueError("need s_max > 0 and count >= 2")
+    lams = np.asarray(lams, dtype=float)
     defect_tol = _DEFECT_TOL_REL * (spec.grid.b - spec.grid.a)
     accept_tol = _CONFIRM * defect_tol
 
     s_grid = np.geomspace(s_max * 1e-12, s_max, count)
-    terminal = _shoot_batch(spec, s_grid)[0]
+    terminal = np.empty((lams.size, count))
+    for start, out in _marches(spec, np.tile(s_grid, lams.size),
+                               np.repeat(lams, count)):
+        terminal.flat[start:start + out[0].size] = out[0]
 
-    sign_change = terminal[:-1] * terminal[1:] < 0.0
-    lo_idx = np.flatnonzero(sign_change)
-    roots = list(s_grid[np.flatnonzero(terminal == 0.0)])
-    if lo_idx.size:
+    which, lo_idx = np.nonzero(terminal[:, :-1] * terminal[:, 1:] < 0.0)
+    roots = [list(s_grid[row == 0.0]) for row in terminal]
+    first = [None] * lams.size
+    if which.size:
         best_s, best_f, first = _refine_brackets(
-            spec, s_grid[lo_idx], s_grid[lo_idx + 1],
-            terminal[lo_idx], terminal[lo_idx + 1], defect_tol, stop_at_first)
-        if first is not None:
-            return [first]
+            spec, lams, which, s_grid[lo_idx], s_grid[lo_idx + 1],
+            terminal[which, lo_idx], terminal[which, lo_idx + 1], defect_tol,
+            stop_at_first)
         confirmed = np.abs(best_f) <= accept_tol
-        roots.extend(best_s[confirmed])
+        for k, r in zip(which[confirmed], best_s[confirmed]):
+            roots[k].append(r)
 
-    roots = sorted(float(r) for r in roots)
-    deduped = []
-    for r in roots:
-        if deduped and abs(r - deduped[-1]) <= 1e-6 * max(r, deduped[-1]):
+    # Near-duplicate roots merged per lambda; one lane per remaining root.
+    lane_s, lane_of = [], []
+    for k, found in enumerate(roots):
+        if first[k] is not None:
             continue
-        deduped.append(r)
-    if not deduped:
-        return []
+        for r in sorted(float(r) for r in found):
+            if (lane_of and lane_of[-1] == k
+                    and abs(r - lane_s[-1]) <= 1e-6 * max(r, lane_s[-1])):
+                continue
+            lane_s.append(r)
+            lane_of.append(k)
 
-    final_term, U, Z, crossed, _, blown = _shoot_batch(spec, np.asarray(deduped))
-    profiles = [_profile_from_shot(spec, U[row], Z[row])
-                for row in range(len(deduped))
-                if _positive_row(spec, final_term[row], U[row], Z[row],
-                                 crossed[row], blown[row], accept_tol)]
-    profiles.sort(key=lambda p: sup_norm(p.u))
+    profiles = [[] if p is None else [p] for p in first]
+    lane_s, lane_of = np.asarray(lane_s), np.asarray(lane_of, dtype=int)
+    for start, (final_term, U, Z, crossed, _, blown) in _marches(
+            spec, lane_s, lams[lane_of]):
+        for row in range(final_term.size):
+            k = lane_of[start + row]
+            if _positive_row(spec, final_term[row], U[row], Z[row],
+                             crossed[row], blown[row], accept_tol):
+                profiles[k].append(_profile_from_shot(
+                    with_lambda(spec, lams[k]), U[row], Z[row]))
+    for found in profiles:
+        found.sort(key=lambda p: sup_norm(p.u))
     return profiles

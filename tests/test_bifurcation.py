@@ -8,10 +8,21 @@ from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
                     Grid, GridFunction, ProblemSpec, SolutionProfile,
                     check_cone_membership, compute_lambda1,
                     lambda_star_bisect, make_power, scan_shooting,
-                    solve_linear, sweep, with_lambda)
-from phibvp.bifurcation import _exists
+                    solve_linear, sup_norm, sweep, with_lambda)
+from phibvp import bifurcation, nonlinear
+from phibvp.bifurcation import _existence, _next_midpoint
+from phibvp.nonlinear import _scan
 
 LAMBDA_STAR = 11.398896
+# Both sides of the fold, and within 6e-4 of it.
+EXISTENCE_LAMBDAS = np.concatenate([
+    np.geomspace(0.05, 30.0, 12),
+    LAMBDA_STAR * np.linspace(1.0 - 6e-4, 1.0 + 1e-4, 12)])
+# A branch_diagram-style sweep: one lambda below lambda0, then a bracket
+# of the fold 3e-3 of it wide, with the fold at 0.4 of the bracket.
+FOLD_WIDTH = 3e-3 * LAMBDA_STAR
+FOLD_SWEEP = [0.5, LAMBDA_STAR - 0.4 * FOLD_WIDTH,
+              LAMBDA_STAR + 0.6 * FOLD_WIDTH]
 
 
 def reference_spec(lam=0.5, n_nodes=257):
@@ -95,17 +106,22 @@ class TestLambdaStarBisect:
         assert 10.5 < estimate < 12.5
 
 
+@pytest.fixture(scope="module")
+def batched_existence():
+    """One existence call with every lambda of EXISTENCE_LAMBDAS as lanes."""
+    found = _existence(reference_spec(n_nodes=129), EXISTENCE_LAMBDAS,
+                       100.0, 60)
+    return dict(zip(EXISTENCE_LAMBDAS, found))
+
+
 class TestExistence:
-    # The existence check stops at its first confirmed bracketed root; it
-    # must still agree with the full scan, on both sides of the fold and
-    # within 6e-4 of it.
-    @pytest.mark.parametrize("lam", np.concatenate([
-        np.geomspace(0.05, 30.0, 12),
-        LAMBDA_STAR * np.linspace(1.0 - 6e-4, 1.0 + 1e-4, 12)]))
-    def test_matches_the_full_scan(self, lam):
+    # The existence check stops each lambda at its first confirmed
+    # bracketed root; it must still agree with the full scan.
+    @pytest.mark.parametrize("lam", EXISTENCE_LAMBDAS)
+    def test_matches_the_full_scan(self, lam, batched_existence):
         spec = reference_spec(n_nodes=129)
         full = scan_shooting(with_lambda(spec, lam), s_max=100.0, count=60)
-        assert _exists(spec, lam, 100.0, 60) == bool(full)
+        assert batched_existence[lam] == bool(full)
 
 
 class TestSweep:
@@ -143,3 +159,130 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(reference_spec(n_nodes=129), [0.0, 1.0], s_max=10.0)
 
+
+def exists_alone(spec, lam, count=60):
+    """Existence at one lambda, from a scan of that lambda alone."""
+    return bool(_scan(spec, [lam], 100.0, count, stop_at_first=True)[0])
+
+
+def sequential_fold(spec, lo, hi, tol):
+    """The fold bisection one midpoint at a time, with its spot checks."""
+    while hi - lo > tol * lo:
+        mid = 0.5 * (lo + hi)
+        if exists_alone(spec, mid):
+            lo = mid
+        else:
+            hi = mid
+    estimate = 0.5 * (lo + hi)
+    for frac in (0.7, 0.3, 0.1, 0.03, 0.01):
+        lam = estimate * frac
+        assert exists_alone(spec, lam) or exists_alone(spec, lam, 240)
+    return estimate
+
+
+def solutions_alone(spec, lam, count=60):
+    """The branch solutions at one lambda, from a scan of it alone."""
+    found = scan_shooting(with_lambda(spec, lam), s_max=100.0, count=count)
+    return tuple((sup_norm(p.u), float(p.du.values[0]),
+                  check_cone_membership(p, spec.n)) for p in found)
+
+
+def sequential_sweep(spec, lams):
+    """(lambda, solutions) per point and the fold, from one-lambda scans."""
+    points = [(lam, solutions_alone(spec, lam)) for lam in lams]
+    counts = [len(sols) for _, sols in points]
+    nonempty = [i for i, c in enumerate(counts) if c > 0]
+    estimate = math.nan
+    if nonempty and nonempty[-1] + 1 < len(points):
+        i = nonempty[-1]
+        estimate = sequential_fold(spec, lams[i], lams[i + 1], 1e-3)
+    return points, estimate
+
+
+class TestBatchedFold:
+    # Lambda lanes change no result: every diagram and estimate is the one
+    # the one-lambda-at-a-time scans and bisection give.
+    @pytest.mark.parametrize("lams", [[0.05, 0.5], [0.05, 0.2, 0.5],
+                                      [8.0, 25.0], FOLD_SWEEP],
+                             ids=["below", "three-below", "across", "bracket"])
+    def test_sweep_matches_one_lambda_scans(self, lams):
+        spec = reference_spec(n_nodes=129)
+        diagram = sweep(spec, lams, s_max=100.0, count=60)
+        points, estimate = sequential_sweep(spec, lams)
+        assert [(p.lam, p.solutions) for p in diagram.points] == points
+        if math.isnan(estimate):
+            assert math.isnan(diagram.lambda_star_estimate)
+        else:
+            assert diagram.lambda_star_estimate == estimate
+
+    @pytest.mark.parametrize("lo, hi, tol", [(8.0, 25.0, 1e-2),
+                                             (*FOLD_SWEEP[1:], 1e-3)],
+                             ids=["wide", "bracket"])
+    def test_bisection_matches_one_lambda_scans(self, lo, hi, tol):
+        spec = reference_spec(n_nodes=129)
+        assert exists_alone(spec, lo) and not exists_alone(spec, hi)
+        assert (lambda_star_bisect(spec, lo, hi, tol=tol, s_max=100.0,
+                                   count=60)
+                == sequential_fold(spec, lo, hi, tol))
+
+    def test_fold_sweep_march_budget(self, monkeypatch):
+        # Three lambda lanes per scan march, one pass for both bisection
+        # steps, one batched call for the spot checks: at most 24 marches,
+        # where one lambda at a time took 57 to 60.
+        calls = []
+        march = nonlinear._shoot_batch
+
+        def counted(*args):
+            calls.append(1)
+            return march(*args)
+
+        monkeypatch.setattr(nonlinear, "_shoot_batch", counted)
+        diagram = sweep(reference_spec(n_nodes=129), FOLD_SWEEP, s_max=100.0,
+                        count=60)
+        assert [len(p.solutions) for p in diagram.points] == [2, 2, 0]
+        assert len(calls) <= 24
+
+    def test_interior_gaps_are_retried_together(self, monkeypatch):
+        # Hide every solution of the 60-slope scan at the middle lambdas:
+        # one retry scan with 240 slopes takes them all, and a lambda it
+        # still misses warns.
+        scans = []
+        scan = bifurcation._scan
+
+        def hiding(spec, lams, s_max, count, stop_at_first=False):
+            found = scan(spec, lams, s_max, count, stop_at_first)
+            scans.append((list(lams), count))
+            if count == 60:
+                return [[] if lam in (0.2, 0.3) else sols
+                        for lam, sols in zip(lams, found)]
+            return [[] if lam == 0.3 else sols for lam, sols in zip(lams, found)]
+
+        monkeypatch.setattr(bifurcation, "_scan", hiding)
+        spec = reference_spec(n_nodes=129)
+        with pytest.warns(UserWarning, match="lambda = 0.3 "):
+            diagram = sweep(spec, [0.05, 0.2, 0.3, 0.5], s_max=100.0,
+                            count=60)
+        assert scans == [([0.05, 0.2, 0.3, 0.5], 60), ([0.2, 0.3], 240)]
+        assert [len(p.solutions) for p in diagram.points] == [2, 2, 0, 2]
+        assert diagram.points[1].solutions == solutions_alone(spec, 0.2, 240)
+
+
+class TestBisectionTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            lambda_star_bisect(reference_spec(n_nodes=129), lo=8.0, hi=25.0,
+                               tol=tol)
+
+    def test_midpoint_rounding_onto_an_end_stops(self):
+        # Once the bracket is one ulp wide its midpoint rounds onto lo.
+        assert 0.5 * (1.0 + (1.0 + 2.0 ** -52)) == 1.0
+        assert _next_midpoint(1.0, 1.0 + 2.0 ** -52, 1e-300) is None
+        assert _next_midpoint(1.0, 1.0 + 2.0 ** -51, 1e-300) \
+            == 1.0 + 2.0 ** -52
+
+    def test_tolerance_below_one_ulp_terminates(self):
+        lo, hi = FOLD_SWEEP[1:]
+        estimate = lambda_star_bisect(reference_spec(n_nodes=129), lo, hi,
+                                      tol=1e-20, s_max=100.0, count=60)
+        assert lo < estimate < hi

@@ -248,6 +248,22 @@ class TestShooting:
         assert np.unique(np.floor(x_cross[crossed] * cells)).size > 1
         assert len(calls) <= 4 * (cells + 45) + 4
 
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_lambda_lanes_match_marches_alone(self, r):
+        # Each lambda as its own lanes of one march, against the march of
+        # with_lambda at that lambda: the same bits in every output.
+        spec = replace(reference_spec(n_nodes=129), phi=make_power(r))
+        slopes = np.append(np.geomspace(1e-10, 100.0, 12), 1e13)
+        lams = np.array([0.05, 0.5, 11.0, 11.5, 30.0])
+        lanes = _shoot_batch(spec, np.tile(slopes, lams.size),
+                             np.repeat(lams, slopes.size))
+        alone = [_shoot_batch(with_lambda(spec, lam), slopes) for lam in lams]
+        for lane_out, alone_out in zip(lanes, zip(*alone)):
+            assert np.array_equal(lane_out, np.concatenate(alone_out),
+                                  equal_nan=True)
+        crossed, blown = lanes[3], lanes[5]
+        assert np.any(crossed) and not np.all(crossed) and np.any(blown)
+
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(ValueError):
             shoot(constant_rhs_spec(65), 0.0)

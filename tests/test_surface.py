@@ -3,6 +3,8 @@ demos, the benchmark and the README take from the package stays in it, the
 parameters of every exported function are pinned, and every demo runs."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -176,3 +178,22 @@ def test_modules_use_every_name_they_import():
              for path in sorted((ROOT / "src" / "phibvp").glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_benchmark_trace_targets_exist():
+    # A traced bench run rebinds these by module and name, so a rename or
+    # deletion would end it with an AttributeError.
+    path = ROOT / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    targets = [target for pairs in spans.SPANS.values() for target in pairs]
+    targets += [("orlicz", "growth_ratio"),
+                ("homeomorphisms", "make_catalog_entry"),
+                ("homeomorphisms", "make_power"),
+                ("homeomorphisms", "inverse_homeomorphism")]
+    missing = [(module, name) for module, name in targets
+               if not callable(getattr(importlib.import_module("phibvp." + module),
+                                       name, None))]
+    assert len(targets) > 20 and missing == []
+    assert callable(phibvp.homeomorphisms.Homeomorphism.inverse)
