@@ -306,33 +306,26 @@ def inverse_saturating(phi: "Homeomorphism", z):
     return _evaluate(_odd_inverse_fn(phi, "inf"), z)
 
 
-# Nodes of the table's geometric t grid.
+# Nodes of the table's geometric t grid, which spans 16 decades below the
+# table's top node.
 _TABLE_POINTS = 4096
-# Where the table measures each segment's overshoot, as fractions of the
-# segment in log t.
-_TABLE_SAMPLES = np.array([0.25, 0.5, 0.75])
 
 
 class _InverseTable:
-    """Fast monotone approximation of a positive-branch inverse.
+    """Fast increasing under-estimate of a positive-branch inverse.
 
     When the homeomorphism carries an explicit inverse, calls defer to it
     (saturating to inf past the representable range).  Otherwise this
-    tabulates the forward map on a geometric grid spanning the probe ladder,
-    up to the certified numeric root of ``z_max`` (secant with residual and
-    x-bracket checks, else bisection), and interpolates the inverse in
-    log-log coordinates.  Log-log interpolation overshoots where the inverse
-    is convex in those coordinates (by 2e-2 relative near z = 1 for xlog,
-    whose inverse has a vertical tangent there), so each segment's
-    overshoot is measured when the table is built, at three points inside
-    it whose images the forward map gives, and both nodes are lowered by
-    twice the larger overshoot of their two segments.  The
-    approximation stays increasing, so order relations survive, and lies
-    below the certified inverse; arguments below the table floor clamp to
-    0 and arguments above the table ceiling clamp to the top entry, which
-    under-estimates the true inverse too.  Used only inside inner loops
-    where one certified root solve per evaluation would dominate the
-    runtime.
+    tabulates z_k = phi(t_k) on a geometric grid t_0 < ... < t_{n-1} over
+    the 16 decades below ``t_hi``, a little above the certified root of
+    ``z_max``, and returns on [z_k, z_{k+1}] the linear interpolation
+    between t_{k-1} and t_k: 0 below z_0, t_{n-2} from z_{n-1} up.  It lies
+    below phi^{-1} because phi^{-1} increases: z >= phi(t_k) gives
+    phi^{-1}(z) >= t_k, which the table reaches only at z_{k+1}, and the
+    one-node shift absorbs the rounding of z_k.  It lies above
+    rho^{-2} phi^{-1} on the tabulated range, rho being the grid's ratio
+    (10^(16/4095) for the full span).  Used only inside inner loops where
+    one certified root solve per evaluation would dominate the runtime.
     """
 
     def __init__(self, phi: Homeomorphism, z_max: float):
@@ -344,8 +337,7 @@ class _InverseTable:
         t_hi = inverse_saturating(phi, float(z_max)) * 1.001
         if not np.isfinite(t_hi) or t_hi <= 0.0:
             t_hi = float(px[-1])
-        t_lo = min(float(px[0]), t_hi * 1e-16)
-        t = np.geomspace(t_lo, t_hi, _TABLE_POINTS)
+        t = np.geomspace(max(float(px[0]), t_hi * 1e-16), t_hi, _TABLE_POINTS)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             z = np.asarray(phi._forward_pos(t), dtype=float)
         good = np.isfinite(z) & (z > 0.0)
@@ -354,37 +346,15 @@ class _InverseTable:
         t, z = t[keep], z[keep]
         if t.size < 2:
             raise ValueError("forward map not tabulable on the requested range")
-        log_t, log_z = np.log(t), np.log(z)
-        # The table at the image of a point inside a segment, against the
-        # point itself.
-        s = np.exp(log_t[:-1, None] + np.diff(log_t)[:, None] * _TABLE_SAMPLES)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z_s = np.asarray(phi._forward_pos(s.ravel()), dtype=float)
-            over = np.max(np.interp(np.log(z_s), log_z, log_t).reshape(s.shape)
-                          - np.log(s), axis=1)
-        # The engine certifies its roots to _BRACKET_REL, so no segment is
-        # lowered by less than that.
-        over = np.maximum(over, _BRACKET_REL)
-        drop = np.zeros(t.size)
-        drop[:-1] = over
-        drop[1:] = np.maximum(drop[1:], over)
-        # Lowering nodes by different amounts could break monotonicity; a
-        # running minimum from the top restores it and only lowers further.
-        self._log_t = np.minimum.accumulate((log_t - 2.0 * drop)[::-1])[::-1]
-        self._log_z = log_z
-        self._z_floor = z[0]
+        self._z = z
+        self._t = np.concatenate(([0.0], t[:-1]))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self._exact is not None:
+        if self._exact is not None:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 return self._exact(z)
-            out = np.zeros_like(z)
-            mask = z > self._z_floor
-            if np.any(mask):
-                out[mask] = np.exp(
-                    np.interp(np.log(z[mask]), self._log_z, self._log_t))
-        return out
+        return np.interp(z, self._z, self._t, left=0.0)
 
 
 def make_power(r: float) -> Homeomorphism:

@@ -15,17 +15,18 @@ comparison constant c with
 
     min of the two one-sided integrals of phi^{-1}(M * mass) >= c phi^{-1}(cM)
 
-uniformly over a grid of M values.  The largest such c on each M comes
-from a monotone forward equation, with no inverse evaluations; c is the
-smallest of them, shaved and re-checked on a finer M grid.  A bound
-chain runs several of these on one forcing, and each of them reads one
-certificate per forcing, kept in a one-entry memo: the support data, the
-distance to the boundary, the refined cumulative of h (shared with that of
-max(h, 0) when h >= 0), the one-sided partition around the support
-midpoint, the exact bracket (the smaller one-sided integral of phi^{-1} of
-the mass), the inverse table with the left-hand sides by M grid, and the
-last solution.  Each piece is built on first use.  The memo holds one map
-and one forcing at a time (per thread), and every result equals a fresh
+at every M of a grid and of its tenfold refinement, through an inverse
+table below phi^{-1}.  The largest such c on each M comes from a
+monotone forward equation, with no inverse evaluations; c is the
+smallest of them, shaved by 0.999 and checked once.  A bound chain runs
+several of these on one forcing, and each of them reads one certificate
+per forcing, kept in a one-entry memo: the support data, the distance to
+the boundary, the refined cumulative of h (shared with that of max(h, 0)
+when h >= 0), the one-sided partition around the support midpoint, the
+exact bracket (the smaller one-sided integral of phi^{-1} of the mass),
+the inverse table with the left-hand sides by M grid, and the last
+solution.  Each piece is built on first use.  The memo holds one map and
+one forcing at a time (per thread), and every result equals a fresh
 computation bit for bit.
 """
 
@@ -48,12 +49,6 @@ from .homeomorphisms import (Homeomorphism, _InverseTable, _bisect,
 
 DEFAULT_TOL = 1e-10
 _REFINE = 16
-
-# The one-sided integrals in the comparison-constant estimate go through
-# ``_InverseTable``, which lies below phi^{-1} by construction.  This
-# deflation is a further safety margin on top of that, before the 0.999
-# shave and the fine-grid back-off of the estimate.
-_TABLE_MARGIN = 1e-3
 
 # Steps allowed to the flux-constant search; its midpoint rule makes this
 # enough for about 200 halvings of the bracket.
@@ -394,7 +389,7 @@ class _Certificate:
             for i, m in enumerate(M):
                 out[i] = min(float(wl @ self.table(m * dl)),
                              float(wr @ self.table(m * dr)))
-            self.lhs_by_grid[key] = out * (1.0 - _TABLE_MARGIN)
+            self.lhs_by_grid[key] = out
         return self.lhs_by_grid[key]
 
 
@@ -435,8 +430,9 @@ def _normalized_M_grid(M_grid) -> np.ndarray:
 
 
 def _forward_root_constant(phi, lhs, M_values) -> float:
-    """The largest c with c phi^{-1}(c M) <= LHS(M) on every lane, from
-    forward calls only; inf when no lane constrains c.
+    """The largest c with c phi^{-1}(c M) <= LHS(M) on every lane (one pair
+    of M and LHS(M), from any number of grids), from forward calls only;
+    inf when no lane constrains c.
 
     c phi^{-1}(c M) = L holds exactly when t phi(t) = L M and c = phi(t) / M,
     and t phi(t) increases.  Each lane's t is bracketed on the probe ladder,
@@ -468,17 +464,17 @@ def _forward_root_constant(phi, lhs, M_values) -> float:
 
 def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
                                  M_grid=None) -> float:
-    """Largest c in (1e-12, 1e6] with LHS(M) >= c * phi^{-1}(c M) on the grid.
+    """Largest c in (1e-12, 1e6], shaved by 0.999, with
+    LHS(M) >= c * phi^{-1}(c M) on the grid and its tenfold refinement.
 
     LHS(M) is the smaller of the two one-sided integrals of
-    phi^{-1}(M * accumulated mass of h) around the support midpoint.  The
-    largest c on each M solves a monotone forward equation (see
-    ``_forward_root_constant``), and c is the smallest of them, clamped
-    into [1e-12, 1e6].  Since c phi^{-1}(c M) increases with c, the result
-    shaved by 0.999 passes the grid with room to spare for rounding; only
-    values re-verified on a tenfold finer M grid spanning the same range
-    are returned, backing off by 0.95 if needed.  Raises ``ValueError``
-    when 1e-12 fails the grid or the back-off runs out.
+    phi^{-1}(M * accumulated mass of h) around the support midpoint, through
+    an inverse table below phi^{-1}.  The largest c on each M of both grids
+    solves a monotone forward equation (see ``_forward_root_constant``); c
+    is the smallest of them, clamped into [1e-12, 1e6] and shaved by 0.999,
+    which leaves room for rounding since c phi^{-1}(c M) increases with c,
+    then checked once on both grids.  Raises ``ValueError`` when 1e-12 fails
+    the grid or c fails that check.
     """
     M = _normalized_M_grid(M_grid)
     ceiling = float(M[-1])
@@ -488,15 +484,14 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
     lo, hi = 1e-12, 1e6
     if not _comparison_holds(phi, lhs, lo, M):
         raise ValueError("no comparison constant in (1e-12, 1e6] certifies the bound")
-    c = min(max(lo, _forward_root_constant(phi, lhs, M)), hi) * 0.999
-
     fine = _refined_M_grid(M)
-    lhs_fine = cert.lhs(fine, ceiling)
-    for _ in range(40):
-        if _comparison_holds(phi, lhs_fine, c, fine):
-            return float(c)
-        c *= 0.95
-    raise ValueError("comparison constant failed re-verification on the finer grid")
+    both_M = np.concatenate((M, fine))
+    both_lhs = np.concatenate((lhs, cert.lhs(fine, ceiling)))
+    c = min(max(lo, _forward_root_constant(phi, both_lhs, both_M)), hi) * 0.999
+    if not _comparison_holds(phi, both_lhs, c, both_M):
+        raise ValueError("comparison constant failed its check on the M grid "
+                         "and its tenfold refinement")
+    return float(c)
 
 
 def verify_comparison_constant(phi: Homeomorphism, h: GridFunction, c: float,

@@ -315,18 +315,17 @@ def read_diagram_csv(path):
     return rows
 
 
-def read_grid_function(path, value_column: str = "value") -> GridFunction:
-    """Read a CSV with an ``x`` column and the named value column."""
+def read_grid_function(path) -> GridFunction:
+    """Read u on its grid from a CSV with ``x`` and ``u`` columns, such as
+    the ``x,u,du`` file ``write_profile_csv`` writes."""
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "x" not in reader.fieldnames:
-            raise ValueError("CSV must have an 'x' column")
-        if value_column not in reader.fieldnames:
-            raise ValueError("CSV has no column named %r" % value_column)
+        if reader.fieldnames is None or not {"x", "u"} <= set(reader.fieldnames):
+            raise ValueError("CSV must have 'x' and 'u' columns")
         xs, vs = [], []
         for row in reader:
             xs.append(float(row["x"]))
-            vs.append(float(row[value_column]))
+            vs.append(float(row["u"]))
     return GridFunction(Grid(np.asarray(xs)), np.asarray(vs))
 
 

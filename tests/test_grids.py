@@ -153,24 +153,31 @@ class TestCsvRoundTrip:
         profile = _profile(97)
         path = tmp_path / "solution.csv"
         write_profile_csv(path, profile)
-        u = read_grid_function(path, value_column="u")
-        du = read_grid_function(path, value_column="du")
+        u = read_grid_function(path)
         assert np.array_equal(u.grid.nodes, profile.grid.nodes)
         assert np.array_equal(u.values, profile.u.values)
-        assert np.array_equal(du.grid.nodes, profile.grid.nodes)
-        assert np.array_equal(du.values, profile.du.values)
         again = tmp_path / "again.csv"
-        write_profile_csv(again, SolutionProfile(u, du, profile.c_star,
+        write_profile_csv(again, SolutionProfile(u, profile.du, profile.c_star,
                                                  profile.residual))
         assert again.read_bytes() == path.read_bytes()
 
     def test_named_value_column(self, tmp_path):
+        # The value column is the one named u; a file without it, or
+        # without x, is refused.
+        path = tmp_path / "values.csv"
+        path.write_text("x,value\n0,1\n1,2\n2,3\n")
+        with pytest.raises(ValueError, match="'x' and 'u' columns"):
+            read_grid_function(path)
+        path.write_text("t,u\n0,1\n1,2\n2,3\n")
+        with pytest.raises(ValueError, match="'x' and 'u' columns"):
+            read_grid_function(path)
+        path.write_text("x,du,u\n0,5,1\n1,6,2\n2,7,3\n")
+        assert np.array_equal(read_grid_function(path).values, [1.0, 2.0, 3.0])
+
+    def test_reads_back_what_the_profile_writer_wrote(self, tmp_path):
         profile = _profile(17)
         path = tmp_path / "solution.csv"
         write_profile_csv(path, profile)
-        back = read_grid_function(path, value_column="du")
-        assert np.array_equal(back.values, profile.du.values)
-        with pytest.raises(ValueError):
-            read_grid_function(path)
-        with pytest.raises(ValueError):
-            read_grid_function(path, value_column="missing")
+        back = read_grid_function(path)
+        assert np.array_equal(back.grid.nodes, profile.grid.nodes)
+        assert np.array_equal(back.values, profile.u.values)

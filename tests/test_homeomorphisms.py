@@ -308,10 +308,26 @@ class TestInverseTable:
     @pytest.mark.parametrize("descriptor", _NUMERIC_CATALOG)
     @pytest.mark.parametrize("z_max", [1e-2, 1.0, 1e4])
     def test_table_stays_below_the_certified_inverse(self, descriptor, z_max):
-        # Log-log interpolation overshoots where phi^{-1} is convex in those
-        # coordinates, by up to 2.7e-2 relative near z = 1 for xlog.
+        # phi^{-1} increases, so it is at least t_k from z_k = phi(t_k) up,
+        # and the table reaches t_k only at z_{k+1}.  The grid runs from
+        # below the table's floor to past its top, and densely across
+        # xlog's vertical tangent at z = 1.
         phi = make_catalog_entry(descriptor)
         table = _InverseTable(phi, z_max)
         z = np.concatenate((np.geomspace(1e-300, 2.0 * z_max, 40001),
                             np.linspace(0.9, 1.1, 20001)))
         assert np.all(table(z) <= numeric_inverse(phi, z))
+
+    @pytest.mark.parametrize("descriptor", _NUMERIC_CATALOG)
+    @pytest.mark.parametrize("z_max", [1e-2, 1.0, 1e4])
+    def test_table_is_within_two_nodes_of_the_inverse(self, descriptor, z_max):
+        # On [z_k, z_{k+1}] the table is at least t_{k-1} and phi^{-1} at
+        # most t_{k+1}: two steps of the grid ratio rho apart.  The nodes
+        # span 16 decades, so the working range stays that tight.
+        phi = make_catalog_entry(descriptor)
+        table = _InverseTable(phi, z_max)
+        nodes = table._t[1:]
+        assert nodes[-1] / nodes[0] <= 1e16
+        rho = 10.0 ** (16.0 / 4095.0)
+        z = np.geomspace(1e-12 * z_max, z_max, 20001)
+        assert np.all(table(z) >= numeric_inverse(phi, z) / rho ** 2)

@@ -281,7 +281,7 @@ class TestCli:
         assert report["envelope_upper_holds"] is True
         assert report["cone_bound_holds"] is True
         assert report["half_bracket_below_sup_norm"] is True
-        u = read_grid_function(out / "solution.csv", value_column="u")
+        u = read_grid_function(out / "solution.csv")
         assert u.values[0] == 0.0 and u.values[-1] == 0.0
 
     def test_solve_linear_is_deterministic(self, tmp_path):
@@ -309,9 +309,9 @@ class TestCli:
         assert report["inward_slopes"] is True
         for name in ("sub.csv", "super.csv", "solution.csv"):
             assert (out / name).exists()
-        sub = read_grid_function(out / "sub.csv", value_column="u")
-        sol = read_grid_function(out / "solution.csv", value_column="u")
-        sup = read_grid_function(out / "super.csv", value_column="u")
+        sub = read_grid_function(out / "sub.csv")
+        sol = read_grid_function(out / "solution.csv")
+        sup = read_grid_function(out / "super.csv")
         assert np.all(sub.values <= sol.values + 1e-9)
         assert np.all(sol.values <= sup.values + 1e-9)
 

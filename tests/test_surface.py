@@ -55,7 +55,7 @@ SIGNATURES = {
     "pointwise_leq": "lo hi slack=",
     "random_forcing": "rng grid",
     "read_diagram_csv": "path",
-    "read_grid_function": "path value_column=",
+    "read_grid_function": "path",
     "require_same_grid": "*functions",
     "rhs": "spec u",
     "scan_shooting": "spec s_max count=",
