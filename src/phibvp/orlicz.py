@@ -31,8 +31,6 @@ _TINY_NORMAL = float(np.finfo(float).tiny)
 # threshold; each docstring states the values it uses.
 _K_MIN, _K_MAX, _FIT_POINTS = 12, 40, 12
 _LIMIT_K = np.arange(8, 101, dtype=float)
-_CHECK_X_GRID = np.geomspace(1e-8, 1e8, _GRID_POINTS)
-_CHECK_T_GRID = 2.0 ** np.linspace(-40.0, 40.0, 161)
 _DUALITY_TOL = 0.05
 
 
@@ -50,12 +48,51 @@ class HypothesisVerdict(Enum):
     UNDECIDED = "undecided"
 
 
+def _dyadic_grid(lo: float, hi: float, even: bool = False) -> np.ndarray:
+    """Log-spaced x in [lo, hi] at m points per octave, built so that
+    doubling a grid point is a shift by m indices.
+
+    x_j = ldexp(block[j % m], j // m), where block holds the m points of the
+    first octave and m = ceil(10^4 / octaves), rounded up to an even number
+    when ``even`` so that half octaves are shifts too.  The grid therefore
+    has at least 10^4 points.
+    """
+    octaves = math.log2(hi) - math.log2(lo)
+    m = math.ceil(_GRID_POINTS / octaves)
+    m += m % 2 if even else 0
+    j = np.arange(math.floor(octaves * m) + 1)
+    block = lo * 2.0 ** (np.arange(m) / m)
+    x = np.ldexp(block[j % m], j // m)
+    return x[x <= hi]
+
+
+def _octave_extension(x: np.ndarray, octaves: int):
+    """A dyadic grid x extended by ``octaves`` octaves on each side, and its
+    points per octave m.
+
+    Entry octaves*m + i of the extension is x[i], and entry
+    (octaves + k)*m + i is x[i] * 2^k rounded once, bit for bit, at the
+    subnormal and overflow ends too.
+    """
+    m = int(np.searchsorted(x, 2.0 * x[0]))
+    j = np.arange(-octaves * m, x.size + octaves * m)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x[j % m], j // m), m
+
+
+# 190 points per octave over [1e-8, 1e8]: 10,099 points, on which every t of
+# the check's 161 half-octave steps 2^-40, ..., 2^40 is an index shift.
+_CHECK_X_GRID = _dyadic_grid(1e-8, 1e8, even=True)
+_CHECK_T_GRID = 2.0 ** np.linspace(-40.0, 40.0, 161)
+
+
 def representable_x_grid(phi: Homeomorphism) -> np.ndarray:
-    """Log-spaced grid spanning the decades where phi is finite and positive,
-    starting no lower than the smallest normal float: below it x itself is
-    quantized, and for an inverse map so are the targets it inverts."""
+    """Dyadic grid (see ``_dyadic_grid``) spanning the octaves where phi is
+    finite and positive, starting no lower than the smallest normal float:
+    below it x itself is quantized, and for an inverse map so are the
+    targets it inverts."""
     px, _ = phi._probe_ladder()
-    return np.geomspace(max(float(px[0]), _TINY_NORMAL), px[-1], _GRID_POINTS)
+    return _dyadic_grid(max(float(px[0]), _TINY_NORMAL), float(px[-1]))
 
 
 def growth_ratio(phi: Homeomorphism, t: float, x_grid=None) -> float:
@@ -82,13 +119,31 @@ def growth_ratio(phi: Homeomorphism, t: float, x_grid=None) -> float:
 def _sampled_ratio(phi: Homeomorphism, t: float, x: np.ndarray,
                    den: np.ndarray) -> float:
     """``growth_ratio`` on a checked grid x, given den = phi(x)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         num = np.asarray(phi.forward(t * x), dtype=float)
+    return _ratio_sup(num, den)
+
+
+def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
+    """Largest num / den over the lanes ``growth_ratio`` keeps."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         valid = (np.isfinite(num) & ((num == 0.0) | (num >= _TINY_NORMAL))
                  & np.isfinite(den) & (den >= _TINY_NORMAL))
         if not np.any(valid):
             return math.inf
         return float(np.max(num[valid] / den[valid]))
+
+
+def _dyadic_ratios(phi: Homeomorphism, grid: np.ndarray, ks) -> np.ndarray:
+    """``_sampled_ratio`` at t = 2^k for each integer k in ks, |k| <= 40, on
+    a dyadic grid, all read from one evaluation of phi on the grid extended
+    by 40 octaves on each side."""
+    ext, m = _octave_extension(grid, _K_MAX)
+    vals = np.asarray(phi.forward(ext), dtype=float)
+    n = grid.size
+    den = vals[_K_MAX * m:_K_MAX * m + n]
+    starts = [(_K_MAX + int(k)) * m for k in ks]
+    return np.array([_ratio_sup(vals[i:i + n], den) for i in starts])
 
 
 @dataclass(frozen=True)
@@ -123,7 +178,10 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     """Estimate both growth exponents from dyadic samples of the growth ratio.
 
     The ratio is sampled at t = 2^-k and t = 2^k for k = 12, ..., 40, each
-    on 10^4 log-spaced x over the decades where phi is finite and positive.
+    on the dyadic ``representable_x_grid`` (at least 10^4 log-spaced x over
+    the octaves where phi is finite and positive).  Since t x is that grid
+    shifted by k octaves, phi is evaluated once, on the grid extended by 40
+    octaves on each side, and every ratio is read from slices of it.
     The lower exponent is the least-squares slope of ln M(t) against ln t
     over the deepest 12 values of t = 2^-k; the upper exponent is fitted the
     same way over the largest 12 values of t = 2^k.  The upper one is
@@ -133,12 +191,10 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     snapped to exactly 0: at that size it is indistinguishable from the
     logarithmic corrections of a zero-exponent map.
     """
-    grid = representable_x_grid(phi)
-    den = np.asarray(phi.forward(grid), dtype=float)
     ks = np.arange(_K_MIN, _K_MAX + 1)
-
-    m_small = np.array([_sampled_ratio(phi, 2.0 ** (-k), grid, den) for k in ks])
-    m_large = np.array([_sampled_ratio(phi, 2.0 ** k, grid, den) for k in ks])
+    ratios = _dyadic_ratios(phi, representable_x_grid(phi),
+                            np.concatenate((-ks, ks)))
+    m_small, m_large = ratios[:ks.size], ratios[ks.size:]
 
     ln_t_small = -ks * _LN2
     alpha_raw, alpha_rms = _ls_slope(ln_t_small[-_FIT_POINTS:],
@@ -195,8 +251,9 @@ def _doubling_sup(phi: Homeomorphism, x: np.ndarray) -> float:
 def check_delta2(phi: Homeomorphism) -> Delta2Result:
     """Test the doubling condition phi(2x) <= k phi(x).
 
-    The doubling constant is sampled on 10^4 log-spaced x in [1e-8, 1e8]
-    and again on as many in [1e-9, 1e9]; the condition is reported to hold
+    The doubling constant is sampled on the 10,099 log-spaced x of the
+    dyadic check grid over [1e-8, 1e8] (190 per octave) and again on as
+    many log-spaced x in [1e-9, 1e9]; the condition is reported to hold
     when both samples are finite and the extension grows the constant by
     less than a factor of two.  Exponential-type maps blow past both gates;
     power-log maps settle immediately.
@@ -230,10 +287,13 @@ def check_phi_conditions(phi: Homeomorphism,
         min(t^p, t^q) phi(x) / C  <=  phi(t x)  <=  C max(t^p, t^q) phi(x)
 
     over the sampled pairs: t = 2^j for 161 values of j evenly spaced in
-    [-40, 40], and 10^4 log-spaced x in [1e-8, 1e8].  Success returns the
-    comparison pair as descriptor strings; a zero lower estimate or an
-    unbounded upper one reports failure immediately, since no power pair
-    can work.
+    [-40, 40], and the 10,099 log-spaced x of the dyadic check grid over
+    [1e-8, 1e8] (190 per octave).  Each t x is that grid shifted by 2j
+    half octaves, so phi is evaluated once, on the grid extended by 40
+    octaves on each side, and the pairs are taken one t at a time.
+    Success returns the comparison pair as descriptor strings; a zero lower
+    estimate or an unbounded upper one reports failure immediately, since
+    no power pair can work.
 
     ``phi_prime_cond`` is the relaxed variant that keeps the power-pair
     lower inequality but only asks for some finite majorant on the upper
@@ -249,26 +309,29 @@ def check_phi_conditions(phi: Homeomorphism,
                                   math.nan, math.nan)
     p = a - 0.05
     q = b + 0.05
-    x = _CHECK_X_GRID
     t = _CHECK_T_GRID
+    reach = 40  # octaves: t runs from 2^-40 to 2^40
+    n = _CHECK_X_GRID.size
+    ext, m = _octave_extension(_CHECK_X_GRID, reach)
+    vals = np.asarray(phi.forward(ext), dtype=float)
+    den = vals[reach * m:reach * m + n]
+    lo_unit = np.minimum(t ** p, t ** q)
+    hi_unit = np.maximum(t ** p, t ** q)
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = np.asarray(phi.forward(t[:, None] * x[None, :]), dtype=float)
-        den = np.asarray(phi.forward(x), dtype=float)[None, :]
-        ratio = num / den
-    if not bool(np.all(np.isfinite(ratio)) and np.all(ratio > 0.0)):
-        return PhiConditionReport(False, None, None, False, math.inf, p, q)
-
-    tp = t ** p
-    tq = t ** q
-    lo_unit = np.minimum(tp, tq)[:, None]
-    hi_unit = np.maximum(tp, tq)[:, None]
-    c_upper = float(np.max(ratio / hi_unit))
-    c_lower = float(np.max(lo_unit / ratio))
+    c_upper = c_lower = -math.inf
+    for j in range(t.size):
+        # t[j] = 2^(j/2 - reach): the check grid shifted by j half octaves.
+        start = j * (m // 2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = vals[start:start + n] / den
+        if not bool(np.all(np.isfinite(ratio)) and np.all(ratio > 0.0)):
+            return PhiConditionReport(False, None, None, False, math.inf, p, q)
+        c_upper = max(c_upper, float(np.max(ratio / hi_unit[j])))
+        c_lower = max(c_lower, float(np.max(lo_unit[j] / ratio)))
     constant = max(c_upper, c_lower, 1.0)
     ok = constant <= 1e6
-    majorant_finite = bool(np.all(np.isfinite(np.max(ratio, axis=1))))
-    prime_ok = bool(max(c_lower, 1.0) <= 1e6 and majorant_finite)
+    # Every sampled ratio is finite here, so is their tabulated supremum.
+    prime_ok = max(c_lower, 1.0) <= 1e6
     psi1 = "min(t^%.4g, t^%.4g) / %.6g" % (p, q, constant)
     psi2 = "%.6g * max(t^%.4g, t^%.4g)" % (constant, p, q)
     return PhiConditionReport(ok, psi1, psi2, prime_ok, constant, p, q)
@@ -366,8 +429,8 @@ class AdvisorReport(NamedTuple):
     beta_hat: float
 
 
-def hypothesis_advisor(phi: Homeomorphism, q: float, r1: float, r2: float,
-                       estimate: Optional[IndexEstimate] = None) -> AdvisorReport:
+def hypothesis_advisor(phi: Homeomorphism, q: float, r1: float,
+                       r2: float) -> AdvisorReport:
     """Per-hypothesis verdicts for the three growth limits a problem needs.
 
     The three limits are: t^q / phi(t) -> inf at zero, t^r1 / phi(t) -> 0
@@ -378,7 +441,7 @@ def hypothesis_advisor(phi: Homeomorphism, q: float, r1: float, r2: float,
     advisor falls back to direct classification and reports UNDECIDED when
     that too is inconclusive, never an index-based guess.
     """
-    est = estimate if estimate is not None else estimate_indices(phi)
+    est = estimate_indices(phi)
 
     def from_class(cls: LimitClass, wanted: LimitClass) -> HypothesisVerdict:
         if cls is wanted:

@@ -258,8 +258,7 @@ def test_7_limit_classification(report):
 
     boundary_est = estimate_indices(entries["logpow:2"])
     advisor = hypothesis_advisor(entries["logpow:2"], q=1.0, r1=3.0,
-                                 r2=boundary_est.beta_hat,
-                                 estimate=boundary_est)
+                                 r2=boundary_est.beta_hat)
     boundary_has_verdict = advisor.g2_verdict in (
         HypothesisVerdict.HOLDS_BY_LIMIT_CHECK,
         HypothesisVerdict.FAILS_BY_LIMIT_CHECK,

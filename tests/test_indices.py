@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, HypothesisVerdict,
                     IndexEstimate, LimitClass, check_delta2,
                     check_phi_conditions, classify_limit, duality_check,
                     estimate_indices, growth_ratio, hypothesis_advisor,
-                    make_catalog_entry, make_power)
+                    inverse_homeomorphism, make_catalog_entry, make_power)
+from phibvp.orlicz import (_CHECK_T_GRID, _CHECK_X_GRID, _dyadic_ratios,
+                           _octave_extension, _sampled_ratio,
+                           representable_x_grid)
 
 # Frozen battery targets: fitted exponent pair and doubling constant per
 # catalog entry, plus whether the two-sided power sandwich is certifiable.
@@ -55,8 +59,9 @@ class TestGrowthRatio:
             growth_ratio(make_power(2.0), 2.0, x_grid=[0.0, 1.0])
 
     def test_estimate_evaluates_phi_on_its_grid_once(self):
-        # One forward call builds the probe ladder, one evaluates phi on the
-        # x grid, and each of the 58 dyadic samples of the ratio makes one.
+        # One forward call builds the probe ladder and one evaluates phi on
+        # the x grid extended by 40 octaves on each side; all 58 dyadic
+        # samples of the ratio are slices of that one evaluation.
         base = make_catalog_entry("sum-powers:3,1.5")
         calls = []
 
@@ -64,9 +69,33 @@ class TestGrowthRatio:
             calls.append(np.size(y))
             return base._forward_pos(y)
 
-        estimate = estimate_indices(Homeomorphism("counted", counting))
-        assert len(calls) == 2 + 2 * (40 - 12 + 1)
+        counted = Homeomorphism("counted", counting)
+        estimate = estimate_indices(counted)
+        grid = representable_x_grid(counted)
+        m = int(np.count_nonzero(grid < 2.0 * grid[0]))
+        assert len(calls) == 2
+        assert calls[1] == grid.size + 80 * m
         assert estimate == estimate_indices(base)
+
+    @pytest.mark.parametrize("descriptor", sorted(BATTERY))
+    @pytest.mark.parametrize("side", ["map", "inverse"])
+    def test_octave_shift_is_direct_evaluation(self, descriptor, side):
+        # Shifting the dyadic grid by k octaves is x * 2^k bit for bit, so
+        # each sliced ratio is the ratio sampled directly at t = 2^k.
+        phi = entry_for(descriptor)
+        if side == "inverse":
+            phi = inverse_homeomorphism(phi)
+        grid = representable_x_grid(phi)
+        ext, m = _octave_extension(grid, 40)
+        ks = [k for k in range(-40, 41) if abs(k) >= 12]
+        with np.errstate(over="ignore"):
+            for k in ks:
+                start = (40 + k) * m
+                np.testing.assert_array_equal(ext[start:start + grid.size],
+                                              grid * 2.0 ** k)
+        den = np.asarray(phi.forward(grid), dtype=float)
+        direct = [_sampled_ratio(phi, 2.0 ** k, grid, den) for k in ks]
+        assert list(_dyadic_ratios(phi, grid, ks)) == direct
 
 
 class TestIndexEstimates:
@@ -135,6 +164,45 @@ class TestPowerSandwich:
                                       estimate=estimate_for(descriptor))
         assert report.phi_cond == BATTERY[descriptor]["sandwich"]
         assert report.phi_prime_cond == report.phi_cond
+
+    @pytest.mark.parametrize("descriptor", sorted(
+        d for d, target in BATTERY.items() if target["sandwich"]))
+    def test_row_by_row_matches_the_full_table(self, descriptor):
+        # The comparison constant and verdicts from the whole 161-row table
+        # of phi(t x) / phi(x) on the check grid, as one 2-D array.
+        phi = entry_for(descriptor)
+        est = estimate_for(descriptor)
+        report = check_phi_conditions(phi, estimate=est)
+        p, q = est.alpha_hat - 0.05, est.beta_hat + 0.05
+        t, x = _CHECK_T_GRID, _CHECK_X_GRID
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            num = np.asarray(phi.forward(t[:, None] * x[None, :]), dtype=float)
+            den = np.asarray(phi.forward(x), dtype=float)[None, :]
+            ratio = num / den
+        assert np.all(np.isfinite(ratio)) and np.all(ratio > 0.0)
+        tp, tq = t ** p, t ** q
+        c_upper = float(np.max(ratio / np.maximum(tp, tq)[:, None]))
+        c_lower = float(np.max(np.minimum(tp, tq)[:, None] / ratio))
+        constant = max(c_upper, c_lower, 1.0)
+        majorant_finite = bool(np.all(np.isfinite(np.max(ratio, axis=1))))
+        assert (report.p, report.q) == (p, q)
+        assert report.constant == constant
+        assert report.phi_cond == (constant <= 1e6)
+        assert report.phi_prime_cond == (max(c_lower, 1.0) <= 1e6
+                                         and majorant_finite)
+
+    def test_phi_conditions_hold_no_full_table(self):
+        # Taken row by row, the check never holds the 161 x 10^4 table of
+        # ratios (63 MB when it did).
+        phi = entry_for("xlog")
+        est = estimate_for("xlog")
+        tracemalloc.start()
+        try:
+            check_phi_conditions(phi, estimate=est)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_certified_constants_are_modest(self):
         for descriptor, target in BATTERY.items():
@@ -209,7 +277,7 @@ class TestHypothesisAdvisor:
 
     def test_flat_lower_exponent_falls_back_to_the_limit(self):
         report = hypothesis_advisor(entry_for("logpow:2"), q=1.0, r1=3.0,
-                                    r2=3.0, estimate=estimate_for("logpow:2"))
+                                    r2=3.0)
         assert report.f_verdict is HypothesisVerdict.HOLDS_BY_LIMIT_CHECK
 
     def test_failing_hypothesis_is_reported(self):
@@ -218,7 +286,7 @@ class TestHypothesisAdvisor:
 
     def test_inconclusive_band_stays_undecided(self):
         report = hypothesis_advisor(entry_for("xlog"), q=0.96, r1=3.0,
-                                    r2=3.0, estimate=estimate_for("xlog"))
+                                    r2=3.0)
         assert report.f_verdict is HypothesisVerdict.UNDECIDED
 
     def test_boundary_exponent_never_claims_index_certainty(self):
@@ -226,5 +294,5 @@ class TestHypothesisAdvisor:
         # band, so the verdict must come from the direct limit.
         est = estimate_for("logpow:2")
         report = hypothesis_advisor(entry_for("logpow:2"), q=1.0, r1=3.0,
-                                    r2=est.beta_hat, estimate=est)
+                                    r2=est.beta_hat)
         assert report.g2_verdict is HypothesisVerdict.HOLDS_BY_LIMIT_CHECK

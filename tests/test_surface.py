@@ -39,7 +39,7 @@ SIGNATURES = {
     "estimate_comparison_constant": "phi h M_grid=",
     "estimate_indices": "phi",
     "growth_ratio": "phi t x_grid=",
-    "hypothesis_advisor": "phi q r1 r2 estimate=",
+    "hypothesis_advisor": "phi q r1 r2",
     "integral": "fn",
     "inverse_homeomorphism": "phi",
     "inverse_saturating": "phi z",
