@@ -17,6 +17,7 @@ are deterministic: the same invocation writes byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -222,7 +223,10 @@ def _add_common(parser, grid_size_default=None):
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; every later call, and
+    so every in-process ``main``, reuses the same one."""
     parser = argparse.ArgumentParser(
         prog="phibvp",
         description="Two-point boundary value problems driven by an odd "
@@ -275,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (PhiBVPError, ValueError) as exc:

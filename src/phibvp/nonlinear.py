@@ -6,7 +6,9 @@ the distance to the boundary.  Both are verified against the discrete form
 of the differential inequality.  Between an ordered verified pair, a clamped
 Picard iteration converges to a solution.  Independently, a shooting
 integrator turns every positive solution into a root of the terminal-defect
-map s -> u(b; s), which a scanning routine brackets and refines.
+map s -> u(b; s), which a scanning routine brackets and refines.  The
+integrator marches many slopes and lambda values at once, as lanes of one
+stacked RK4 state (u, phi(u')), and locates zero crossings after the march.
 """
 
 from __future__ import annotations
@@ -314,6 +316,8 @@ def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
 
 _BLOWUP_STATE = 1e12
 _BLOWUP_FLUX = 1e300
+# The overflow guard on the stacked state (u, z), one bound per row.
+_GUARD = np.array([[_BLOWUP_STATE], [_BLOWUP_FLUX]])
 
 
 def _shoot_batch(spec: ProblemSpec, s_values, lam=None):
@@ -324,101 +328,89 @@ def _shoot_batch(spec: ProblemSpec, s_values, lam=None):
     hits zero keeps integrating (the clamped right-hand side vanishes below
     zero), but its first crossing location is recorded and its terminal
     value becomes -(b - x_cross).  Lanes whose state leaves the overflow
-    guard freeze at their last finite state.
+    guard (|u| <= 1e12 and |z| <= 1e300, which NaN and inf fail) freeze at
+    their last state inside it.
 
     ``lam``, when given, is each lane's lambda (default ``spec.lam``).  A
     lane's f-weight in a cell is the product lam * m_c of its own lambda
     and the cell mean of m, so every lane is bit for bit the march of
     ``with_lambda(spec, lam)`` alone.
 
-    One RK4 step per cell.  The march only notes, per lane, the cell in
-    which it first crosses zero and the state it entered that cell with.
-    The crossings are located after the march, in one batch: 45 halvings
-    of the cell fraction, each one RK4 step over every crossed lane.
+    One RK4 step per cell on the stacked state y = (u, z), one (2, lanes)
+    array, recorded into one (2, lanes, nodes) array whose planes are U
+    and Z.  A frozen lane repeats its state, so the first node pair of a
+    record that goes from u >= 0 to u < 0 is the lane's first crossing
+    cell; the crossings are located after the march, in one batch: 45
+    halvings of the cell fraction, each one RK4 step over every crossed
+    lane.  The first RK4 stage does not depend on the step length, so it
+    is evaluated once at the cell start and shared by all 45 steps.
     """
     grid = spec.grid
     x = grid.nodes
     widths = grid.cell_widths
-    phi = spec.phi
-    mu = spec.mu
     f, g = spec.f, spec.g
     m_c = _cell_means(spec.m.values)
-    n_c = _cell_means(spec.n.values)
+    mn = spec.mu * _cell_means(spec.n.values)
 
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     lanes = s.size
     lam = np.broadcast_to(np.asarray(spec.lam if lam is None else lam,
                                      dtype=float), s.shape)
-    u = np.zeros(lanes)
-    z = np.atleast_1d(np.asarray(phi.forward(s), dtype=float)).copy()
-
-    U = np.empty((lanes, grid.count))
-    Z = np.empty((lanes, grid.count))
-    U[:, 0] = u
-    Z[:, 0] = z
-    crossed = np.zeros(lanes, dtype=bool)
-    x_cross = np.full(lanes, np.nan)
+    record = np.empty((2, lanes, grid.count))
+    y = np.zeros((2, lanes))
+    y[1] = spec.phi.forward(s)
+    record[:, :, 0] = y
     blown = np.zeros(lanes, dtype=bool)
-    # Per lane: the cell in which it first crosses zero, and its state at
-    # the start of that cell.
-    cross_at = np.zeros(lanes, dtype=int)
-    cross_u = np.empty(lanes)
-    cross_z = np.empty(lanes)
 
     # Bound once, outside the public entries: their per-call scalar
     # handling and error state would dominate the per-stage cost on small
-    # lane counts, and the loop below already runs under one errstate.
-    inv_odd = _odd_inverse_fn(phi, "inf")
+    # lane counts, and the march below already runs under one errstate.
+    inv_odd = _odd_inverse_fn(spec.phi, "inf")
 
-    def derivs(u_, z_, mc, nc):
-        up = np.maximum(u_, 0.0)
-        du_ = inv_odd(z_)
-        dz_ = -(mc * np.asarray(f(up), dtype=float)
-                + nc * np.asarray(g(up), dtype=float))
-        return du_, dz_
+    def derivs(y_, mc, nc, out):
+        up = np.maximum(y_[0], 0.0)
+        out[0] = inv_odd(y_[1])
+        np.negative(mc * np.asarray(f(up), dtype=float)
+                    + nc * np.asarray(g(up), dtype=float), out=out[1])
 
-    def rk4(u_, z_, h, mc, nc):
-        k1u, k1z = derivs(u_, z_, mc, nc)
-        k2u, k2z = derivs(u_ + 0.5 * h * k1u, z_ + 0.5 * h * k1z, mc, nc)
-        k3u, k3z = derivs(u_ + 0.5 * h * k2u, z_ + 0.5 * h * k2z, mc, nc)
-        k4u, k4z = derivs(u_ + h * k3u, z_ + h * k3z, mc, nc)
-        u_new = u_ + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        z_new = z_ + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        return u_new, z_new
-
-    mn = mu * n_c
+    def rk4(y_, h, mc, nc, k):
+        # k[0] already holds the first stage, the derivatives at y_.
+        derivs(y_ + 0.5 * h * k[0], mc, nc, k[1])
+        derivs(y_ + 0.5 * h * k[1], mc, nc, k[2])
+        derivs(y_ + h * k[2], mc, nc, k[3])
+        return y_ + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = np.empty((4, 2, lanes))
         for i in range(grid.count - 1):
-            u1, z1 = rk4(u, z, widths[i], lam * m_c[i], mn[i])
-            bad = (~blown) & (~np.isfinite(u1) | ~np.isfinite(z1)
-                              | (np.abs(u1) > _BLOWUP_STATE)
-                              | (np.abs(z1) > _BLOWUP_FLUX))
-            blown = blown | bad
+            mc = lam * m_c[i]
+            derivs(y, mc, mn[i], k[0])
+            y1 = rk4(y, widths[i], mc, mn[i], k)
+            ok = np.abs(y1) <= _GUARD
+            if not ok.all():
+                blown |= ~(ok[0] & ok[1])
+            y = np.where(blown, y, y1) if blown.any() else y1
+            record[:, :, i + 1] = y
 
-            hits = (~blown) & (~crossed) & (u >= 0.0) & (u1 < 0.0)
-            if np.any(hits):
-                cross_at[hits] = i
-                cross_u[hits] = u[hits]
-                cross_z[hits] = z[hits]
-                crossed |= hits
-            u = np.where(blown, u, u1)
-            z = np.where(blown, z, z1)
-            U[:, i + 1] = u
-            Z[:, i + 1] = z
-
+        U, Z = record
+        flips = (U[:, :-1] >= 0.0) & (U[:, 1:] < 0.0)
+        cross_at = np.argmax(flips, axis=1)
+        crossed = flips[np.arange(lanes), cross_at]
+        x_cross = np.full(lanes, np.nan)
         idx = np.flatnonzero(crossed)
         if idx.size:
             cell = cross_at[idx]
             h = widths[cell]
-            u0, z0 = cross_u[idx], cross_z[idx]
+            y0 = record[:, idx, cell]
             mc, nc = lam[idx] * m_c[cell], mn[cell]
+            k = np.empty((4, 2, idx.size))
+            derivs(y0, mc, nc, k[0])
             theta = _midpoint(*_bisect(
-                lambda mid: rk4(u0, z0, mid * h, mc, nc)[0] >= 0.0,
+                lambda mid: rk4(y0, mid * h, mc, nc, k)[0] >= 0.0,
                 np.zeros(idx.size), np.ones(idx.size), 45))
             x_cross[idx] = x[cell] + theta * h
 
-    terminal = np.where(crossed, -(grid.b - x_cross), u)
+    terminal = np.where(crossed, -(grid.b - x_cross), y[0])
     return terminal, U, Z, crossed, x_cross, blown
 
 
@@ -499,7 +491,8 @@ _DEFECT_TOL_REL = 1e-10
 # the refinement's defect tolerance.
 _CONFIRM = 1e3
 # Most lanes one march holds; wider batches are marched in groups, so the
-# per-node records U and Z stay at most _LANE_CAP rows.
+# per-node record, one (2, lanes, nodes) array whose planes are U and Z
+# (the same bytes as two separate records), stays at most _LANE_CAP lanes.
 _LANE_CAP = 1024
 
 

@@ -8,7 +8,7 @@ from phibvp import (BranchDiagram, BranchPoint, BranchSolution,
                     ProblemFileError, json_ready, parse_linear_problem,
                     parse_problem, read_diagram_csv, read_grid_function,
                     support_data, write_diagram_csv, write_json_report)
-from phibvp.cli import main
+from phibvp.cli import build_parser, main
 
 
 def write_file(path, payload):
@@ -341,6 +341,25 @@ class TestCli:
         assert report["delta2"]["k_hat"] == pytest.approx(4.0, rel=1e-2)
         assert report["phi_cond"]["holds"] is True
         assert report["duality"]["passed"] is True
+
+    def test_parser_built_once_and_reused(self, tmp_path):
+        # Commands run in one process share one parser and write the same
+        # bytes as a call that builds its own.
+        problem = write_file(tmp_path / "lin.json", linear_payload())
+        commands = [["indices", "power:2"], ["solve-linear", problem],
+                    ["indices", "power:2"]]
+        build_parser.cache_clear()
+        for k, argv in enumerate(commands):
+            assert main(argv + ["--out-dir", str(tmp_path / ("r%d" % k))]) == 0
+        assert build_parser.cache_info().misses == 1
+        for k, argv in enumerate(commands):
+            build_parser.cache_clear()
+            assert main(argv + ["--out-dir", str(tmp_path / ("f%d" % k))]) == 0
+            reused = sorted((tmp_path / ("r%d" % k)).iterdir())
+            fresh = sorted((tmp_path / ("f%d" % k)).iterdir())
+            assert [p.name for p in reused] == [p.name for p in fresh]
+            for a, b in zip(reused, fresh):
+                assert a.read_bytes() == b.read_bytes(), a.name
 
     def test_verify_bounds_deterministic_and_passing(self, tmp_path):
         d1, d2 = tmp_path / "o1", tmp_path / "o2"

@@ -6,10 +6,12 @@ import pytest
 from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
                     Grid, GridFunction, Homeomorphism, ProblemSpec,
                     SolutionProfile, build_subsolution, build_supersolution,
-                    make_power, make_sub_super_pair, scan_shooting, shoot,
+                    make_catalog_entry, make_power, make_sub_super_pair, scan_shooting, shoot,
                     solve_between, solve_linear, sup_norm, verify_subsolution,
                     verify_supersolution, with_lambda)
-from phibvp.nonlinear import _shoot_batch
+from phibvp.homeomorphisms import _bisect, _midpoint, _odd_inverse_fn
+from phibvp.nonlinear import (_BLOWUP_FLUX, _BLOWUP_STATE, _cell_means,
+                              _shoot_batch)
 
 
 def reference_spec(lam=0.5, n_nodes=257):
@@ -54,6 +56,97 @@ def splice(pieces, take_first):
 def crossing_location(grid, diff):
     idx = int(np.flatnonzero(diff[:-1] * diff[1:] < 0.0)[0])
     return 0.5 * (grid.nodes[idx] + grid.nodes[idx + 1])
+
+
+def _reference_march(spec, s_values, lam=None):
+    """The march as it was before the stacked state: u and z stepped
+    separately, the crossings noted cell by cell during the march, and
+    every bisection step a full RK4 step.  Kept verbatim as the oracle the
+    march must reproduce bit for bit."""
+    grid = spec.grid
+    x = grid.nodes
+    widths = grid.cell_widths
+    phi = spec.phi
+    mu = spec.mu
+    f, g = spec.f, spec.g
+    m_c = _cell_means(spec.m.values)
+    n_c = _cell_means(spec.n.values)
+
+    s = np.atleast_1d(np.asarray(s_values, dtype=float))
+    lanes = s.size
+    lam = np.broadcast_to(np.asarray(spec.lam if lam is None else lam,
+                                     dtype=float), s.shape)
+    u = np.zeros(lanes)
+    z = np.atleast_1d(np.asarray(phi.forward(s), dtype=float)).copy()
+
+    U = np.empty((lanes, grid.count))
+    Z = np.empty((lanes, grid.count))
+    U[:, 0] = u
+    Z[:, 0] = z
+    crossed = np.zeros(lanes, dtype=bool)
+    x_cross = np.full(lanes, np.nan)
+    blown = np.zeros(lanes, dtype=bool)
+    # Per lane: the cell in which it first crosses zero, and its state at
+    # the start of that cell.
+    cross_at = np.zeros(lanes, dtype=int)
+    cross_u = np.empty(lanes)
+    cross_z = np.empty(lanes)
+
+    # Bound once, outside the public entries: their per-call scalar
+    # handling and error state would dominate the per-stage cost on small
+    # lane counts, and the loop below already runs under one errstate.
+    inv_odd = _odd_inverse_fn(phi, "inf")
+
+    def derivs(u_, z_, mc, nc):
+        up = np.maximum(u_, 0.0)
+        du_ = inv_odd(z_)
+        dz_ = -(mc * np.asarray(f(up), dtype=float)
+                + nc * np.asarray(g(up), dtype=float))
+        return du_, dz_
+
+    def rk4(u_, z_, h, mc, nc):
+        k1u, k1z = derivs(u_, z_, mc, nc)
+        k2u, k2z = derivs(u_ + 0.5 * h * k1u, z_ + 0.5 * h * k1z, mc, nc)
+        k3u, k3z = derivs(u_ + 0.5 * h * k2u, z_ + 0.5 * h * k2z, mc, nc)
+        k4u, k4z = derivs(u_ + h * k3u, z_ + h * k3z, mc, nc)
+        u_new = u_ + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        z_new = z_ + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        return u_new, z_new
+
+    mn = mu * n_c
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(grid.count - 1):
+            u1, z1 = rk4(u, z, widths[i], lam * m_c[i], mn[i])
+            bad = (~blown) & (~np.isfinite(u1) | ~np.isfinite(z1)
+                              | (np.abs(u1) > _BLOWUP_STATE)
+                              | (np.abs(z1) > _BLOWUP_FLUX))
+            blown = blown | bad
+
+            hits = (~blown) & (~crossed) & (u >= 0.0) & (u1 < 0.0)
+            if np.any(hits):
+                cross_at[hits] = i
+                cross_u[hits] = u[hits]
+                cross_z[hits] = z[hits]
+                crossed |= hits
+            u = np.where(blown, u, u1)
+            z = np.where(blown, z, z1)
+            U[:, i + 1] = u
+            Z[:, i + 1] = z
+
+        idx = np.flatnonzero(crossed)
+        if idx.size:
+            cell = cross_at[idx]
+            h = widths[cell]
+            u0, z0 = cross_u[idx], cross_z[idx]
+            mc, nc = lam[idx] * m_c[cell], mn[cell]
+            theta = _midpoint(*_bisect(
+                lambda mid: rk4(u0, z0, mid * h, mc, nc)[0] >= 0.0,
+                np.zeros(idx.size), np.ones(idx.size), 45))
+            x_cross[idx] = x[cell] + theta * h
+
+    terminal = np.where(crossed, -(grid.b - x_cross), u)
+    return terminal, U, Z, crossed, x_cross, blown
 
 
 class TestSupersolutionConstruction:
@@ -231,8 +324,9 @@ class TestShooting:
         assert np.max(np.abs(terminal + (1.0 - 2.0 * slopes))) <= 1e-9
 
     def test_crossings_cost_one_bisection_per_march(self):
-        # Four inverse calls per RK4 step: one step per cell, and the 45
-        # halvings that locate every lane's crossing run once per march.
+        # Four inverse calls per RK4 step, one step per cell.  The 45
+        # halvings that locate every lane's crossing run once per march and
+        # share one first stage, so each costs the three later stages.
         calls = []
 
         def inverse_pos(z):
@@ -246,7 +340,7 @@ class TestShooting:
             spec, np.geomspace(1e-10, 100.0, 60))
         cells = spec.grid.count - 1
         assert np.unique(np.floor(x_cross[crossed] * cells)).size > 1
-        assert len(calls) <= 4 * (cells + 45) + 4
+        assert len(calls) == 4 * cells + 1 + 3 * 45
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_lambda_lanes_match_marches_alone(self, r):
@@ -263,6 +357,39 @@ class TestShooting:
                                   equal_nan=True)
         crossed, blown = lanes[3], lanes[5]
         assert np.any(crossed) and not np.all(crossed) and np.any(blown)
+
+    @pytest.mark.parametrize("case", ["power:1", "power:2", "lanes:power:1",
+                                      "lanes:power:2", "constant-rhs",
+                                      "sum-powers:3,1.5"])
+    def test_march_matches_reference(self, case):
+        # Every output, bit for bit, against the march kept verbatim in
+        # _reference_march.  Each case has crossed lanes; on the reference
+        # problem the lanes at slope 1e13, and only they, blow up.
+        slopes = np.append(np.geomspace(1e-10, 100.0, 60), 1e13)
+        lams = None
+        if case == "constant-rhs":
+            spec = constant_rhs_spec(129)
+            slopes = np.linspace(0.021, 0.479, 24)
+        elif case == "sum-powers:3,1.5":
+            spec = replace(reference_spec(lam=11.0, n_nodes=33),
+                           phi=make_catalog_entry(case))
+            slopes = np.array([1e-3, 0.1, 1.0, 10.0])
+        else:
+            spec = replace(reference_spec(n_nodes=129),
+                           phi=make_power(float(case[-1])))
+            if case.startswith("lanes:"):
+                lams = np.repeat([0.05, 0.5, 11.0, 11.5, 30.0], slopes.size)
+                slopes = np.tile(slopes, 5)
+        new = _shoot_batch(spec, slopes, lams)
+        old = _reference_march(spec, slopes, lams)
+        for name, a, b in zip(
+                ("terminal", "U", "Z", "crossed", "x_cross", "blown"), new, old):
+            assert np.array_equal(a, b, equal_nan=True), name
+        assert np.any(new[3])
+        if case == "constant-rhs":
+            assert np.unique(np.floor(new[4] * 128.0)).size == 24
+        elif case != "sum-powers:3,1.5":
+            assert np.array_equal(new[5], slopes == 1e13)
 
     def test_nonpositive_slope_rejected(self):
         with pytest.raises(ValueError):
