@@ -98,7 +98,9 @@ def compute_lambda1(spec: ProblemSpec, R: float):
         raise ConstructionError("f carries no positive values below R")
 
     def margin_holds(t):
-        return spec.phi.forward(t / c_om) > spec.mu * N * t ** r1
+        # The float below the difference: >= 0 exactly where phi wins strictly.
+        return np.nextafter(spec.phi.forward(t / c_om) - spec.mu * N * t ** r1,
+                            -np.inf)
 
     t_under = _largest_prefix_valid(np.geomspace(1e-12, 1e12, 400),
                                     margin_holds,

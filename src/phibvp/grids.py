@@ -11,6 +11,7 @@ positivity machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,24 +191,17 @@ def _invert_cell_quadratic(x0, w, v0, v1, target):
     """Point inside [x0, x0 + w] where the running integral of the linear
     interpolant between v0 and v1 first reaches ``target`` (relative to x0).
 
-    The cumulative within the cell is exactly quadratic, so a short scalar
-    bisection pins the crossing to machine precision.
+    The cumulative within the cell, v0 s + slope s^2 / 2, is exactly
+    quadratic, and its root s = 2 T / (v0 + sqrt(v0^2 + 2 slope T)) has no
+    cancellation: v0, v1 >= 0 keep the radicand at least min(v0, v1)^2.
+    A target that rounded to 0 or below gives x0, and one past the cell's
+    mass gives its right end.
     """
+    if not target > 0.0:
+        return x0
     slope = (v1 - v0) / w
-
-    def cum(s):
-        return v0 * s + 0.5 * slope * s * s
-
-    lo, hi = 0.0, w
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if cum(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-18 * w:
-            break
-    return x0 + 0.5 * (lo + hi)
+    s = 2.0 * target / (v0 + math.sqrt(max(v0 * v0 + 2.0 * slope * target, 0.0)))
+    return x0 + min(s, w)
 
 
 _SUPPORT_TOL_REL = 1e-12
@@ -236,7 +230,7 @@ def support_data(h: GridFunction) -> SupportData:
     widths = grid.cell_widths
 
     # alpha: largest point with cumulative mass <= tol, found by locating the
-    # cell where H crosses tol and bisecting the exact in-cell quadratic.
+    # cell where H crosses tol and solving the exact in-cell quadratic.
     i = int(np.searchsorted(H, tol, side="right")) - 1
     i = min(max(i, 0), grid.count - 2)
     if H[i + 1] <= tol:

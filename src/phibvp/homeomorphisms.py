@@ -93,10 +93,10 @@ class Homeomorphism:
 
 _PROBE_EXPONENTS = np.arange(-320, 309)
 
-# Secant steps tried before an entry falls back to bisection.  From a decade
-# bracket the log-log secant reaches the last bit in about six steps on the
-# catalog maps; entries near a flat point of the map (xlog just below 1)
-# converge only linearly and are the ones left to the fallback.
+# Secant steps tried before an entry falls back to the bracketed search.
+# From a decade bracket the log-log secant reaches the last bit in about six
+# steps on the catalog maps; entries near a flat point of the map (xlog just
+# below 1) converge only linearly and are the ones left to the fallback.
 _SECANT_STEPS = 10
 # Relative half-width of the x-side bracket that certifies a secant root.
 _BRACKET_REL = 1e-13
@@ -153,9 +153,9 @@ def _certified(forward_pos, roots, targets):
     ``phi(x (1 - 1e-13)) < y <= phi(x (1 + 1e-13))``.
 
     The bracket puts x within 1e-13 of the smallest float whose image
-    reaches y, the root bisection converges to.  Where the map is flat to
-    rounding over a wider span (near a zero derivative, or at subnormal
-    images) the strict left test fails and bisection decides instead.
+    reaches y, the root the bracketed search converges to.  Where the map
+    is flat to rounding over a wider span (near a zero derivative, or at
+    subnormal images) the strict left test fails and that search decides.
     """
     n = roots.size
     vals = np.asarray(forward_pos(np.concatenate(
@@ -166,25 +166,67 @@ def _certified(forward_pos, roots, targets):
             & (below < targets) & (targets <= above))
 
 
-def _midpoint(lo, hi):
-    """``0.5 * (lo + hi)``, halving each end first where the sum overflows."""
-    mid = 0.5 * (lo + hi)
-    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+# Steps allowed to one bracket search, enough for about 200 halvings.
+_ROOT_STEPS = 400
+# Steps a lane may probe the float below an upper value of 0 before it
+# halves instead.  At the root of ``solve_linear``'s boundary functional
+# F reads 0 on stretches of up to 4 floats (corpus(0, 200)); on phi's
+# plateaus at subnormal images the stretches are far longer.
+_FLAT_PROBES = 4
+# Row k of a stacked (lo, hi) pair is kept by a step whose value's sign
+# test ``f < 0`` equals _KEEP[k]: lo where f >= 0, hi where f < 0.
+_KEEP = np.array([[False], [True]])
 
 
-def _bisect(below, lo, hi, steps):
-    """Halve every lane's bracket ``[lo, hi]`` ``steps`` times.
+def _lane_root(fn, lo, hi, f_lo, f_hi):
+    """Bracketed roots of nondecreasing lanes, to adjacent floats.
 
-    ``below(mid)`` maps the lanes' midpoints to a boolean array: True moves
-    a lane's lower end up to its midpoint, False moves its upper end down.
-    Returns the final ``(lo, hi)``.
+    ``fn`` maps an array with one point per lane to the lanes' values; each
+    lane keeps ``lo < hi`` with ``f(lo) < 0 <= f(hi)``.  A step is an
+    Illinois step (Dowell & Jarratt, BIT 11, 1971): a secant through the
+    ends, with the value of an end that stayed put while the other moved
+    twice in a row halved.  A midpoint replaces it where an end's value is
+    infinite, where the upper value has read 0 for more than _FLAT_PROBES
+    steps (through a 0 the secant only probes the float below hi), and
+    where after k steps the bracket is wider than
+    width0 * 2^-floor((k - 1) / 2).  Every point is clamped one float
+    inside the bracket, and a lane stops for good at adjacent floats, so
+    it ends as it would alone.  Returns ``(lo, hi, f_lo, f_hi)``: ``hi`` is
+    the smallest float found with f >= 0, ``lo`` the largest with f < 0.
     """
-    for _ in range(steps):
-        mid = _midpoint(lo, hi)
-        up = below(mid)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    return lo, hi
+    ends = np.array([lo, hi], dtype=float)
+    vals = np.array([f_lo, f_hi], dtype=float)
+    weights, width0 = vals.copy(), ends[1] - ends[0]
+    stay = np.zeros(ends.shape, dtype=bool)
+    zeros = np.zeros(ends.shape[1], dtype=int)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(_ROOT_STEPS):
+            inner = np.nextafter(ends, ends[::-1])
+            lo, hi = ends
+            done = inner[0] >= hi
+            if done.all():
+                break
+            width = hi - lo
+            drop = weights[0] - weights[1]
+            zeros = np.where(vals[1] == 0.0, zeros + 1, 0)
+            secant = ((width <= width0 * 0.5 ** ((k - 1) // 2))
+                      & (drop > -np.inf) & (zeros <= _FLAT_PROBES))
+            c = lo + width * (weights[0] / drop)
+            every = secant.all()
+            if not every:
+                c = np.where(secant, c, 0.5 * lo + 0.5 * hi)
+            c = np.fmin(np.fmax(c, inner[0]), inner[1])
+            f = fn(c)
+            keep = ((f < 0.0) == _KEEP) | done
+            weights = np.where(keep, weights, f)
+            np.multiply(weights, 0.5, out=weights, where=keep & stay)
+            ends = np.where(keep, ends, c)
+            vals = np.where(keep, vals, f)
+            # A midpoint step restarts its lane's weights.
+            stay = keep & secant
+            if not every:
+                weights = np.where(secant, weights, vals)
+    return ends[0], ends[1], vals[0], vals[1]
 
 
 def _invert_positive(phi, targets, out_of_range):
@@ -196,9 +238,10 @@ def _invert_positive(phi, targets, out_of_range):
     root is accepted only when ``|phi(x) - y| <= 1e-12 * (1 + y)`` and
     ``phi(x (1 - 1e-13)) < y <= phi(x (1 + 1e-13))`` both hold; every
     other entry (including targets below the ladder's first image) is
-    redone by 64 bisection steps on its ladder bracket, and
-    ``ConvergenceError`` is raised if that still misses the residual
-    check.  Targets above every representable image either raise
+    redone by ``_lane_root`` on phi(x) - y over its ladder bracket, whose
+    upper end, the smallest float found with phi(x) >= y, is the root;
+    ``ConvergenceError`` is raised if that misses the residual check.
+    Targets above every representable image either raise
     ``UnboundedInputError`` (``out_of_range="raise"``) or come back as
     ``inf`` (``"inf"``).
     """
@@ -230,10 +273,11 @@ def _invert_positive(phi, targets, out_of_range):
 
         bis = np.flatnonzero(fallback)
         if bis.size:
-            b_y = targets[bis]
-            b_root = _midpoint(*_bisect(
-                lambda mid: np.asarray(forward_pos(mid), dtype=float) < b_y,
-                lo[bis], hi[bis], 64))
+            b_y, i = targets[bis], idx[bis]
+            _, b_root, _, _ = _lane_root(
+                lambda x: np.asarray(forward_pos(x), dtype=float) - b_y,
+                lo[bis], hi[bis], np.where(i == 0, 0.0, pv[i - 1]) - b_y,
+                pv[i] - b_y)
             res = np.abs(np.asarray(forward_pos(b_root), dtype=float) - b_y)
             bad = (res > _RESIDUAL_TOL * (1.0 + b_y)) & ~overflow[bis]
             if np.any(bad):
@@ -287,10 +331,10 @@ def numeric_inverse(phi: Homeomorphism, y):
     log-log secant steps.  A root is accepted only when both
     ``|phi(root) - y| <= 1e-12 * (1 + |y|)`` and the x-side bracket
     ``phi(root (1 - 1e-13)) < |y| <= phi(root (1 + 1e-13))`` hold; any
-    other entry is redone by bisection on its ladder bracket, and
-    ``ConvergenceError`` is raised if that still misses the residual
-    check.  A magnitude above the largest representable image raises
-    ``UnboundedInputError``.
+    other entry is redone by a bracketed search on its ladder bracket down
+    to adjacent floats, and ``ConvergenceError`` is raised if that still
+    misses the residual check.  A magnitude above the largest representable
+    image raises ``UnboundedInputError``.
     """
     return _evaluate(_numeric_odd_inverse(phi, "raise"), y)
 

@@ -44,15 +44,11 @@ from .errors import ConvergenceError, UnboundedInputError
 from .grids import (Grid, GridFunction, SupportData, _cell_trapezoids,
                     _trapezoid_weights, cumulative_trapezoid_values,
                     dist_to_boundary, require_same_grid, support_data)
-from .homeomorphisms import (Homeomorphism, _InverseTable, _bisect,
+from .homeomorphisms import (Homeomorphism, _InverseTable, _lane_root,
                              inverse_saturating)
 
 DEFAULT_TOL = 1e-10
 _REFINE = 16
-
-# Steps allowed to the flux-constant search; its midpoint rule makes this
-# enough for about 200 halvings of the bracket.
-_FLUX_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -135,55 +131,6 @@ class _RefinedCumulative:
                  np.concatenate(([H_mid], H[k:]))))
 
 
-def _flux_root(defect, lo, hi):
-    """Root of the nondecreasing boundary functional F on ``[lo, hi]``.
-
-    ``defect(c)`` returns ``(F(c), g, cell_int)``.  Both ends are evaluated
-    first, and F(lo) < 0 <= F(hi) holds throughout.  Each step is an
-    Illinois step: a secant through the ends, with the value of an end that
-    stayed put while the other moved twice in a row halved.  A midpoint
-    replaces it when an end's F is infinite (phi^{-1} saturated there) or
-    when, after k steps, the bracket is wider than
-    width0 * 2^-floor((k - 1) / 2), which bounds the steps by about twice
-    bisection's.  Every point is clamped one float inside the bracket, and
-    the search stops at two adjacent floats, where it returns
-    ``(c, F, g, cell_int)`` of the end with the smaller |F| (the lower on a
-    tie) without evaluating it again.
-    """
-    lo_end, hi_end = (lo, *defect(lo)), (hi, *defect(hi))
-    if lo_end[1] == 0.0:
-        return lo_end
-    f_lo, f_hi = lo_end[1], hi_end[1]
-    width0 = hi - lo
-    moved = 0
-    for k in range(_FLUX_STEPS):
-        lo, hi = lo_end[0], hi_end[0]
-        inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
-        if inner_lo >= hi:
-            break
-        secant = (hi - lo <= width0 * 0.5 ** ((k - 1) // 2)
-                  and -math.inf < f_lo < 0.0 <= f_hi < math.inf)
-        if secant:
-            c = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        else:
-            c = 0.5 * (lo + hi)
-        c = min(max(c, inner_lo), inner_hi)
-        end = (c, *defect(c))
-        if end[1] < 0.0:
-            lo_end, f_lo = end, end[1]
-            if moved < 0:
-                f_hi *= 0.5
-            moved = -1
-        else:
-            hi_end, f_hi = end, end[1]
-            if moved > 0:
-                f_lo *= 0.5
-            moved = 1
-        if not secant:
-            f_lo, f_hi, moved = lo_end[1], hi_end[1], 0
-    return min(lo_end, hi_end, key=lambda end: abs(end[1]))
-
-
 def solve_linear(phi: Homeomorphism, h: GridFunction,
                  tol: float = DEFAULT_TOL) -> SolutionProfile:
     """Solve -phi(u')' = h with zero boundary values.
@@ -191,9 +138,11 @@ def solve_linear(phi: Homeomorphism, h: GridFunction,
     H is sampled exactly on 16 uniform subintervals per grid cell.  The
     flux constant is found to the last representable bit on the bracket
     [min H, max H], on which the discrete boundary functional F changes
-    sign, by a safeguarded Illinois iteration (see ``_flux_root``); ``tol``
-    is the acceptance threshold on the remaining relative defect of
-    u(b) = 0, not a target the iteration aims for.  Raises
+    sign, by a safeguarded Illinois iteration on one lane (see
+    ``homeomorphisms._lane_root``): of the two adjacent floats it ends on,
+    the one with the smaller |F|, the lower on a tie.  ``tol`` is the
+    acceptance threshold on the remaining relative defect of u(b) = 0, not
+    a target the iteration aims for.  Raises
     ``ConvergenceError`` when even the closed bracket cannot meet it, which
     signals a tolerance too tight for the grid, and ``UnboundedInputError``
     when phi^{-1}(c - H) leaves the range of phi for every flux constant c.
@@ -220,13 +169,21 @@ def solve_linear(phi: Homeomorphism, h: GridFunction,
         cell_int = rc.integrate_cells(sliding_window_view(g, _REFINE + 1)[::_REFINE])
         return float(np.sum(cell_int)), g, cell_int
 
+    # The latest (c, F, g, cell_int) on each side of the root, by F < 0:
+    # the search's two ends, so the chosen one is not evaluated again.
+    ends = {}
+
+    def defect(c):
+        end = (c, *boundary_defect(c))
+        ends[end[1] < 0.0] = end
+        return end[1]
+
     lo = float(np.min(rc.fine_H))
     hi = float(np.max(rc.fine_H))
-    if hi > lo:
-        c, F_c, g, cell_int = _flux_root(boundary_defect, lo, hi)
-    else:
-        c = lo
-        F_c, g, cell_int = boundary_defect(c)
+    if defect(lo) < 0.0 and hi > lo:
+        _lane_root(lambda x: np.array([defect(float(x[0]))]),
+                   [lo], [hi], [ends[True][1]], [defect(hi)])
+    c, F_c, g, cell_int = min(ends.values(), key=lambda end: abs(end[1]))
     if not np.isfinite(F_c):
         raise UnboundedInputError(
             "no flux constant solves the problem: at c = %g, phi^{-1}(c - H) "
@@ -436,12 +393,14 @@ def _forward_root_constant(phi, lhs, M_values) -> float:
 
     c phi^{-1}(c M) = L holds exactly when t phi(t) = L M and c = phi(t) / M,
     and t phi(t) increases.  Each lane's t is bracketed on the probe ladder,
-    whose products px * pv increase, and bisected 64 times (``_bisect``),
-    which reaches adjacent floats.  The lower end, whose product stays below
-    L M, gives the lane's c, so c is exact up to rounding: c phi^{-1}(c M)
-    can exceed L by a few ulps at the binding lane, far less than the
-    estimate's 0.999 shave.  A lane whose target is not finite or lies past
-    the ladder's last finite product does not constrain c.
+    whose products px * pv increase, then on 8 steps per decade, and closed
+    on t phi(t) - L M to adjacent floats by ``_lane_root``.  The lower end,
+    whose product stays below L M, gives the lane's c, so c is exact up to
+    rounding: c phi^{-1}(c M) can exceed L by a few ulps at the binding
+    lane, far less than the estimate's 0.999 shave.  A lane whose LHS is
+    not finite does not constrain c; one whose target L M lies past the
+    ladder's last finite product is held to that product, which keeps
+    phi^{-1}(c M) and c phi^{-1}(c M) finite.
     """
     forward = phi._forward_pos
     px, pv = phi._probe_ladder()
@@ -449,16 +408,23 @@ def _forward_root_constant(phi, lhs, M_values) -> float:
         pp = px * pv
         usable = np.isfinite(pp) & (pp > 0.0)
         px, pp = px[usable], pp[usable]
-        target = lhs * M_values
-        bound = np.isfinite(target) & (target <= pp[-1])
+        bound = np.isfinite(lhs)
         if not np.any(bound):
             return math.inf
-        target, M_values = target[bound], M_values[bound]
+        M_values = M_values[bound]
+        target = np.minimum(lhs[bound] * M_values, pp[-1])
+        # Over an eighth of a decade t phi(t) is near enough to a line for
+        # the secant steps; over a decade the slowest lane takes 30 steps.
         idx = np.searchsorted(pp, target, side="left")
-        lo = np.where(idx == 0, 0.0, px[np.maximum(idx - 1, 0)])
-        lo, _ = _bisect(
-            lambda mid: mid * np.asarray(forward(mid), dtype=float) < target,
-            lo, px[idx], 64)
+        first, last = max(int(idx.min()) - 1, 0), int(idx.max())
+        t = np.geomspace(px[first], px[last], 8 * (last - first) + 1)
+        tt = t * np.asarray(forward(t), dtype=float)
+        idx = np.searchsorted(tt, target, side="left")
+        below = np.maximum(idx - 1, 0)
+        lo, _, _, _ = _lane_root(
+            lambda t: t * np.asarray(forward(t), dtype=float) - target,
+            np.where(idx == 0, 0.0, t[below]), t[idx],
+            np.where(idx == 0, 0.0, tt[below]) - target, tt[idx] - target)
         return float(np.min(np.asarray(forward(lo), dtype=float) / M_values))
 
 

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError, ZeroWeightError
 from .grids import (GridFunction, _cell_trapezoids, cumulative_trapezoid_values,
                     dist_to_boundary, integral, sup_norm)
-from .homeomorphisms import (_bisect, _midpoint, _odd_inverse_fn,
-                             inverse_saturating)
+from .homeomorphisms import _lane_root, _odd_inverse_fn, inverse_saturating
 from .linear import (SolutionProfile, estimate_comparison_constant, solve_linear,
                      verify_comparison_constant)
 from .problems import ProblemSpec, rhs, with_lambda
@@ -128,15 +127,22 @@ def verify_subsolution(spec: ProblemSpec, v: SolutionProfile,
     return _verify_profile(spec, v, corners, sense=-1)
 
 
-def _largest_prefix_valid(grid_points: np.ndarray, cond, what: str) -> float:
-    """Largest point of a log grid below the first failure of ``cond``,
-    sharpened by bisection between the last pass and the first failure.
+def _largest_prefix_valid(grid_points: np.ndarray, margin, what: str) -> float:
+    """Largest point of a log grid below the first failure of a condition,
+    sharpened by ``_lane_root`` between the last pass and the first failure.
 
-    ``cond`` maps an array of positive candidates to a boolean array.  The
-    searched conditions are limit statements that hold near zero, so the
-    feasible set is treated as a prefix of the grid.
+    ``margin`` maps an array of positive candidates to the condition's
+    signed margin, which is >= 0 exactly where the condition holds.  The
+    grid test and the search read it through the same ``excess``, the
+    float below -margin, which is negative exactly there.  The searched
+    conditions are limit statements that hold near zero, so the feasible
+    set is treated as a prefix of the grid.
     """
-    ok = np.asarray(cond(grid_points), dtype=bool)
+    def excess(t):
+        return np.nextafter(-np.asarray(margin(t), dtype=float), -np.inf)
+
+    e = excess(grid_points)
+    ok = e < 0.0
     if not ok[0]:
         raise ConstructionError("no feasible %s even at the bottom of the scan range"
                                 % what)
@@ -144,7 +150,8 @@ def _largest_prefix_valid(grid_points: np.ndarray, cond, what: str) -> float:
     if fails.size == 0:
         return float(grid_points[-1])
     j = int(fails[0])
-    lo, _ = _bisect(cond, grid_points[j - 1:j], grid_points[j:j + 1], 60)
+    lo, _, _, _ = _lane_root(excess, grid_points[j - 1:j], grid_points[j:j + 1],
+                             e[j - 1:j], e[j:j + 1])
     return float(lo[0])
 
 
@@ -172,8 +179,7 @@ def build_supersolution(spec: ProblemSpec) -> SupersolutionResult:
     eps = 1.0 / (c1 * spec.mu * c_om ** r1)
 
     def small_enough(kappa):
-        lhs = inverse_saturating(spec.phi, kappa * rho) ** r1
-        return lhs <= kappa * eps
+        return kappa * eps - inverse_saturating(spec.phi, kappa * rho) ** r1
 
     K1 = _largest_prefix_valid(np.geomspace(1e-16, K0, 400), small_enough,
                                "supersolution scale")
@@ -231,8 +237,7 @@ def build_subsolution(spec: ProblemSpec, comparison_constant: float,
     eps0 = spec.phi.forward(t0 / c_om) / rho_p
 
     def steep_enough(e):
-        lhs = inverse_saturating(spec.phi, e * rho_p) ** q
-        return lhs >= M * e
+        return inverse_saturating(spec.phi, e * rho_p) ** q - M * e
 
     eps1 = _largest_prefix_valid(np.geomspace(1e-16, max(eps0, 1.0) * 10.0, 400),
                                  steep_enough, "subsolution scale")
@@ -340,10 +345,11 @@ def _shoot_batch(spec: ProblemSpec, s_values, lam=None):
     array, recorded into one (2, lanes, nodes) array whose planes are U
     and Z.  A frozen lane repeats its state, so the first node pair of a
     record that goes from u >= 0 to u < 0 is the lane's first crossing
-    cell; the crossings are located after the march, in one batch: 45
-    halvings of the cell fraction, each one RK4 step over every crossed
-    lane.  The first RK4 stage does not depend on the step length, so it
-    is evaluated once at the cell start and shared by all 45 steps.
+    cell; the crossings are located after the march, in one batch:
+    ``_lane_root`` closes each cell fraction [0, 1] to adjacent floats, one
+    RK4 step over every crossed lane per step, and the upper float, where
+    u < 0 first, is the crossing.  The first RK4 stage does not depend on
+    the step length, so it is evaluated once at the cell start.
     """
     grid = spec.grid
     x = grid.nodes
@@ -405,9 +411,12 @@ def _shoot_batch(spec: ProblemSpec, s_values, lam=None):
             mc, nc = lam[idx] * m_c[cell], mn[cell]
             k = np.empty((4, 2, idx.size))
             derivs(y0, mc, nc, k[0])
-            theta = _midpoint(*_bisect(
-                lambda mid: rk4(y0, mid * h, mc, nc, k)[0] >= 0.0,
-                np.zeros(idx.size), np.ones(idx.size), 45))
+            # The float below -u, at the cell's ends to start with, is
+            # negative exactly where u >= 0: every lane starts from u = 0.
+            _, theta, _, _ = _lane_root(
+                lambda th: np.nextafter(-rk4(y0, th * h, mc, nc, k)[0], -np.inf),
+                np.zeros(idx.size), np.ones(idx.size),
+                *np.nextafter(-record[0, idx, cell + [[0], [1]]], -np.inf))
             x_cross[idx] = x[cell] + theta * h
 
     terminal = np.where(crossed, -(grid.b - x_cross), y[0])

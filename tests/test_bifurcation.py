@@ -286,3 +286,80 @@ class TestBisectionTolerance:
         estimate = lambda_star_bisect(reference_spec(n_nodes=129), lo, hi,
                                       tol=1e-20, s_max=100.0, count=60)
         assert lo < estimate < hi
+
+
+# The fold of the reference problem by the time map, at 25 digits.
+TIME_MAP_LAMBDA_STAR = 11.645220247731
+
+
+class TimeMap:
+    """Laetsch's time map (Indiana Univ. Math. J. 20, 1970) of the reference
+    problem, which shares no code with the package.
+
+    With F(u) = (2/3) lam u^(3/2) + u^3 / 3, the primitive of
+    lam sqrt(u) + u^2, a positive solution of height rho exists exactly when
+    T(rho) = integral over (0, rho) of du / sqrt(2 (F(rho) - F(u))) is 1/2,
+    half the interval.  The substitution u = rho (1 - s^2) removes the
+    endpoint singularity.  T vanishes at both ends of (0, inf), so below
+    the fold it crosses 1/2 once either side of its maximum.
+    """
+
+    def __init__(self):
+        scipy = pytest.importorskip("scipy")
+        import scipy.integrate
+        import scipy.optimize
+        self.quad = scipy.integrate.quad
+        self.opt = scipy.optimize
+
+    def period(self, rho, lam):
+        def primitive(u):
+            return (2.0 / 3.0) * lam * u ** 1.5 + u ** 3 / 3.0
+
+        def integrand(s):
+            drop = primitive(rho) - primitive(rho * (1.0 - s * s))
+            return 2.0 * rho * s / math.sqrt(2.0 * drop)
+
+        return self.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                         limit=200)[0]
+
+    def heights(self, lam):
+        """The two heights rho with T(rho) = 1/2 at a lambda below the fold."""
+        top = self.opt.minimize_scalar(
+            lambda rho: -self.period(rho, lam), bounds=(1e-3, 20.0),
+            method="bounded", options={"xatol": 1e-10}).x
+        return [self.opt.brentq(lambda rho: self.period(rho, lam) - 0.5,
+                                a, b, xtol=1e-15, rtol=1e-15)
+                for a, b in ((1e-8, top), (top, 1e3))]
+
+    def lambda_star(self):
+        """The largest lambda at which some height solves T = 1/2."""
+        def lam_of(rho):
+            return self.opt.brentq(lambda lam: self.period(rho, lam) - 0.5,
+                                   1e-3, 100.0, xtol=1e-15, rtol=1e-15)
+
+        return -self.opt.minimize_scalar(
+            lambda rho: -lam_of(rho), bounds=(1.0, 10.0), method="bounded",
+            options={"xatol": 1e-8}).fun
+
+
+class TestTimeMapOracle:
+    @pytest.mark.parametrize("lam", [2.0, 5.0, 10.0])
+    def test_scan_finds_both_time_map_heights(self, lam):
+        heights = TimeMap().heights(lam)
+        found = scan_shooting(reference_spec(lam=lam, n_nodes=1025),
+                              s_max=100.0)
+        assert len(found) == 2
+        norms = [sup_norm(p.u) for p in found]
+        assert np.allclose(norms, heights, rtol=1e-7, atol=0.0)
+
+    def test_time_map_fold(self):
+        assert TimeMap().lambda_star() == pytest.approx(TIME_MAP_LAMBDA_STAR,
+                                                        rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the 60-slope scan misses the narrow window of positive terminals "
+        "just below the fold, so the bisection stops near 11.3987"))
+    def test_fold_bisection_meets_the_time_map(self):
+        estimate = lambda_star_bisect(reference_spec(n_nodes=257), lo=8.0,
+                                      hi=25.0, tol=1e-4, s_max=100.0)
+        assert estimate == pytest.approx(TIME_MAP_LAMBDA_STAR, rel=1e-3)

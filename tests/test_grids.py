@@ -6,7 +6,7 @@ from phibvp import (Grid, GridFunction, SolutionProfile, ZeroWeightError,
                     pointwise_leq, read_grid_function, sup_norm, support_data,
                     write_profile_csv)
 from phibvp.errors import GridMismatchError
-from phibvp.grids import require_same_grid
+from phibvp.grids import _invert_cell_quadratic, require_same_grid
 
 
 def unit_grid(n=257):
@@ -124,6 +124,21 @@ class TestSupportData:
         g = unit_grid(65)
         with pytest.raises(ZeroWeightError):
             support_data(GridFunction(g, np.zeros(g.count)))
+
+    def test_cell_quadratic_closed_form(self):
+        # A target that rounded to 0 or just below, in a cell where h starts
+        # at 0, gives the cell's left end rather than 0/0.
+        assert _invert_cell_quadratic(0.25, 0.5, 0.0, 2.0, 0.0) == 0.25
+        assert _invert_cell_quadratic(0.25, 0.5, 0.0, 2.0, -1e-300) == 0.25
+        # v0 s + (v1 - v0) s^2 / (2 w) = T on rising, falling and flat cells.
+        for v0, v1 in ((0.0, 2.0), (3.0, 1.0), (1.0, 1.0), (2.0, 0.0)):
+            for s in (1e-9, 0.1, 0.37):
+                T = v0 * s + (v1 - v0) * s * s
+                assert _invert_cell_quadratic(0.25, 0.5, v0, v1, T) == \
+                    pytest.approx(0.25 + s, abs=1e-15)
+        # The whole cell's mass, or more, reaches its right end.
+        assert _invert_cell_quadratic(0.25, 0.5, 1.0, 3.0, 1.0) == 0.75
+        assert _invert_cell_quadratic(0.25, 0.5, 1.0, 1.0, 2.0) == 0.75
 
     def test_midpoint_always_interior(self):
         rng = np.random.default_rng(11)

@@ -6,7 +6,7 @@ import pytest
 from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, UnboundedInputError,
                     inverse_homeomorphism, inverse_saturating,
                     make_catalog_entry, make_power, numeric_inverse)
-from phibvp.homeomorphisms import _RESIDUAL_TOL, _InverseTable
+from phibvp.homeomorphisms import _RESIDUAL_TOL, _InverseTable, _lane_root
 
 ALL_ENTRIES = [make_catalog_entry(d) for d in CATALOG_DESCRIPTORS]
 
@@ -300,6 +300,98 @@ def test_numeric_inverse_properties():
         assert 0.0 < x[0] <= x[1]
         back = phi.forward(x[:2])
         assert np.all(np.abs(back - y) <= _RESIDUAL_TOL * (1.0 + y))
+
+    check()
+
+
+@pytest.mark.parametrize("descriptor", _NUMERIC_CATALOG)
+def test_plateau_targets_get_the_smallest_reaching_float(descriptor):
+    # Subnormal images are coarse, so phi equals each of these targets on a
+    # stretch of floats wider than the certification window; the bracketed
+    # search returns the smallest float x with phi(x) >= y.
+    phi = make_catalog_entry(descriptor)
+    y = np.geomspace(1e-321, 1e-315, 60)
+    x = numeric_inverse(phi, y)
+    assert np.all(phi.forward(x) >= y)
+    assert np.all(phi.forward(np.nextafter(x, 0.0)) < y)
+
+
+def _bisection_steps(fn, lo, hi):
+    """Midpoint steps plain bisection takes from [lo, hi] to adjacent floats."""
+    steps = 0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * lo + 0.5 * hi
+        if fn(np.array([mid]))[0] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return steps
+
+
+def test_lane_root_properties():
+    # The one bracketed root-finder: every lane ends on adjacent floats
+    # with f(lo) < 0 <= f(hi), equals its run alone, and stays within
+    # about twice bisection's steps on a plateau function, where the
+    # secant steps gain little.  Lanes are a x^p - y on a bracket from 0
+    # to past the root, the same quantised to multiples of 1/8, the same
+    # reading +inf past twice the root, and the same reading -inf below
+    # zero on a bracket that starts below zero.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lane = st.tuples(st.floats(0.1, 10.0), st.floats(0.3, 4.0),
+                     st.floats(1e-6, 1e6), st.floats(1.0, 1e3),
+                     st.sampled_from(["power", "plateau", "inf-hi", "inf-lo"]))
+
+    def lane_fn(a, p, y, kind):
+        if kind == "plateau":
+            return lambda x: np.floor((a * x ** p - y) * 8.0) / 8.0
+        if kind == "inf-hi":
+            # Past twice the root the map saturates, as an inverse does.
+            cut = 2.0 * (y / a) ** (1.0 / p)
+            return lambda x: np.where(x > cut, np.inf, a * x ** p - y)
+        if kind == "inf-lo":
+            # Below zero the map reads -inf.
+            return lambda x: np.where(x < 0.0, -np.inf,
+                                      a * np.abs(x) ** p - y)
+        return lambda x: a * x ** p - y
+
+    def bracket(a, p, y, stretch, kind):
+        root = (y / a) ** (1.0 / p)
+        lo = -root if kind == "inf-lo" else 0.0
+        return lo, root * (1.0 + stretch)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(lanes=st.lists(lane, min_size=1, max_size=6))
+    def check(lanes):
+        fns = [lane_fn(a, p, y, kind) for a, p, y, _, kind in lanes]
+        ends = np.array([bracket(*spec) for spec in lanes])
+        lo, hi = ends[:, 0], ends[:, 1]
+        f_lo = np.array([f(np.array([x]))[0] for f, x in zip(fns, lo)])
+        f_hi = np.array([f(np.array([x]))[0] for f, x in zip(fns, hi)])
+
+        def fn(x):
+            return np.array([f(x[i:i + 1])[0] for i, f in enumerate(fns)])
+
+        out = _lane_root(fn, lo, hi, f_lo, f_hi)
+        r_lo, r_hi, v_lo, v_hi = out
+        assert np.array_equal(np.nextafter(r_lo, np.inf), r_hi)
+        assert np.all(v_lo < 0.0) and np.all(v_hi >= 0.0)
+        for i, f in enumerate(fns):
+            calls = []
+
+            def alone(x, f=f):
+                calls.append(1)
+                return f(x)
+
+            single = _lane_root(alone, lo[i:i + 1], hi[i:i + 1],
+                                f_lo[i:i + 1], f_hi[i:i + 1])
+            assert all(np.array_equal(a[i:i + 1], b)
+                       for a, b in zip(out, single))
+            if lanes[i][4] == "plateau":
+                # The midpoint rule halves the bracket from the third step
+                # on, at least every other step.
+                assert len(calls) <= 2 * _bisection_steps(f, lo[i], hi[i]) + 2
 
     check()
 

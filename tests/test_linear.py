@@ -282,6 +282,18 @@ class TestComparisonConstant:
         c_single = estimate_comparison_constant(phi, h, M_grid=[1.0])
         assert c_single >= c_wide * (1.0 - 1e-9)
 
+    def test_overflowing_target_still_bounds_the_constant(self):
+        # arcsinh with a finite LHS whose product L M overflows: the lane
+        # still limits c, since c phi^{-1}(c M) is inf once c M passes
+        # phi(max float), about 709.9.  A bump forcing met this lane at
+        # M = 7153.9 with LHS = 4.08e307, and the estimate then failed its
+        # own check.
+        phi = make_catalog_entry("arcsinh")
+        lhs, M = np.array([4.08e307, 1.0]), np.array([7153.9, 1.0])
+        c = _forward_root_constant(phi, lhs, M)
+        assert 0.0 < c < 709.9 / 7153.9
+        assert _holds(phi, lhs, 0.999 * c, M)
+
     def test_invalid_M_grid_rejected(self):
         with pytest.raises(ValueError):
             estimate_comparison_constant(make_power(1.0), constant_one(65),

@@ -9,7 +9,7 @@ from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
                     make_catalog_entry, make_power, make_sub_super_pair, scan_shooting, shoot,
                     solve_between, solve_linear, sup_norm, verify_subsolution,
                     verify_supersolution, with_lambda)
-from phibvp.homeomorphisms import _bisect, _midpoint, _odd_inverse_fn
+from phibvp.homeomorphisms import _odd_inverse_fn
 from phibvp.nonlinear import (_BLOWUP_FLUX, _BLOWUP_STATE, _cell_means,
                               _shoot_batch)
 
@@ -58,11 +58,35 @@ def crossing_location(grid, diff):
     return 0.5 * (grid.nodes[idx] + grid.nodes[idx + 1])
 
 
+def _midpoint(lo, hi):
+    """``0.5 * (lo + hi)``, halving each end first where the sum overflows."""
+    mid = 0.5 * (lo + hi)
+    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+
+
+def _bisect(below, lo, hi, steps):
+    """Halve every lane's bracket ``[lo, hi]`` ``steps`` times.
+
+    ``below(mid)`` maps the lanes' midpoints to a boolean array: True moves
+    a lane's lower end up to its midpoint, False moves its upper end down.
+    Returns the final ``(lo, hi)``.
+    """
+    for _ in range(steps):
+        mid = _midpoint(lo, hi)
+        up = below(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return lo, hi
+
+
 def _reference_march(spec, s_values, lam=None):
     """The march as it was before the stacked state: u and z stepped
     separately, the crossings noted cell by cell during the march, and
-    every bisection step a full RK4 step.  Kept verbatim as the oracle the
-    march must reproduce bit for bit."""
+    every bisection step a full RK4 step.  Kept verbatim, with the
+    bisection it used, as the oracle the march must reproduce bit for bit
+    in U, Z, crossed and blown.  A seventh output holds each crossed lane's
+    final bisection bracket in x (NaN elsewhere), inside which the march's
+    own crossing must lie."""
     grid = spec.grid
     x = grid.nodes
     widths = grid.cell_widths
@@ -85,6 +109,7 @@ def _reference_march(spec, s_values, lam=None):
     Z[:, 0] = z
     crossed = np.zeros(lanes, dtype=bool)
     x_cross = np.full(lanes, np.nan)
+    bracket = np.full((2, lanes), np.nan)
     blown = np.zeros(lanes, dtype=bool)
     # Per lane: the cell in which it first crosses zero, and its state at
     # the start of that cell.
@@ -140,13 +165,14 @@ def _reference_march(spec, s_values, lam=None):
             h = widths[cell]
             u0, z0 = cross_u[idx], cross_z[idx]
             mc, nc = lam[idx] * m_c[cell], mn[cell]
-            theta = _midpoint(*_bisect(
+            t_lo, t_hi = _bisect(
                 lambda mid: rk4(u0, z0, mid * h, mc, nc)[0] >= 0.0,
-                np.zeros(idx.size), np.ones(idx.size), 45))
-            x_cross[idx] = x[cell] + theta * h
+                np.zeros(idx.size), np.ones(idx.size), 45)
+            x_cross[idx] = x[cell] + _midpoint(t_lo, t_hi) * h
+            bracket[:, idx] = x[cell] + t_lo * h, x[cell] + t_hi * h
 
     terminal = np.where(crossed, -(grid.b - x_cross), u)
-    return terminal, U, Z, crossed, x_cross, blown
+    return terminal, U, Z, crossed, x_cross, blown, bracket
 
 
 class TestSupersolutionConstruction:
@@ -324,9 +350,10 @@ class TestShooting:
         assert np.max(np.abs(terminal + (1.0 - 2.0 * slopes))) <= 1e-9
 
     def test_crossings_cost_one_bisection_per_march(self):
-        # Four inverse calls per RK4 step, one step per cell.  The 45
-        # halvings that locate every lane's crossing run once per march and
-        # share one first stage, so each costs the three later stages.
+        # Four inverse calls per RK4 step, one step per cell.  The bracket
+        # search that locates every lane's crossing runs once per march and
+        # its steps share one first stage, so each costs the three later
+        # stages; it takes fewer steps than the 45 halvings it replaced.
         calls = []
 
         def inverse_pos(z):
@@ -340,7 +367,8 @@ class TestShooting:
             spec, np.geomspace(1e-10, 100.0, 60))
         cells = spec.grid.count - 1
         assert np.unique(np.floor(x_cross[crossed] * cells)).size > 1
-        assert len(calls) == 4 * cells + 1 + 3 * 45
+        steps, rest = divmod(len(calls) - (4 * cells + 1), 3)
+        assert rest == 0 and 0 < steps <= 45
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_lambda_lanes_match_marches_alone(self, r):
@@ -362,8 +390,10 @@ class TestShooting:
                                       "lanes:power:2", "constant-rhs",
                                       "sum-powers:3,1.5"])
     def test_march_matches_reference(self, case):
-        # Every output, bit for bit, against the march kept verbatim in
-        # _reference_march.  Each case has crossed lanes; on the reference
+        # Against the march kept verbatim in _reference_march: U, Z,
+        # crossed and blown bit for bit, every crossing inside the final
+        # bracket of the reference's 45 halvings, and every other terminal
+        # bit for bit.  Each case has crossed lanes; on the reference
         # problem the lanes at slope 1e13, and only they, blow up.
         slopes = np.append(np.geomspace(1e-10, 100.0, 60), 1e13)
         lams = None
@@ -381,10 +411,14 @@ class TestShooting:
                 lams = np.repeat([0.05, 0.5, 11.0, 11.5, 30.0], slopes.size)
                 slopes = np.tile(slopes, 5)
         new = _shoot_batch(spec, slopes, lams)
-        old = _reference_march(spec, slopes, lams)
-        for name, a, b in zip(
-                ("terminal", "U", "Z", "crossed", "x_cross", "blown"), new, old):
-            assert np.array_equal(a, b, equal_nan=True), name
+        *old, (x_lo, x_hi) = _reference_march(spec, slopes, lams)
+        for i, name in ((1, "U"), (2, "Z"), (3, "crossed"), (5, "blown")):
+            assert np.array_equal(new[i], old[i]), name
+        terminal, crossed, x_cross = new[0], new[3], new[4]
+        assert np.all((x_lo <= x_cross) & (x_cross <= x_hi) | ~crossed)
+        assert np.array_equal(np.isnan(x_cross), ~crossed)
+        assert np.array_equal(terminal, np.where(
+            crossed, -(spec.grid.b - x_cross), old[0]))
         assert np.any(new[3])
         if case == "constant-rhs":
             assert np.unique(np.floor(new[4] * 128.0)).size == 24
