@@ -2,10 +2,13 @@
 
 A problem's flux nonlinearity is an odd, strictly increasing bijection of the
 reals.  We store only its positive branch together with an optional analytic
-inverse; the odd extension is applied by sign arithmetic, which keeps oddness
-exact in floating point.  Every evaluation of the inverse, public or inside
-the solvers, takes its callable from ``_odd_inverse_fn``: the closed form
-when there is one, else the certified numeric engine.  A catalog of
+inverse; the odd extension is applied by copying the argument's sign, which
+keeps oddness exact in floating point.  A map whose closed forms are already
+odd on the whole line (the identity of power:1, the Laplacian case, and
+arcsinh with sinh) says so when it is built, and is then evaluated directly,
+at the cost of the map alone.  Every evaluation of the inverse, public or
+inside the solvers, takes its callable from ``_odd_inverse_fn``: the closed
+form when there is one, else the certified numeric engine.  A catalog of
 standard examples is exposed through short descriptor strings such as
 ``"power:2"`` or ``"sum-powers:3,1.5"``.
 """
@@ -21,14 +24,23 @@ import numpy as np
 from .errors import ConvergenceError, UnboundedInputError
 
 
-def _odd(fn):
+def _odd(fn, odd_on_reals=False):
     """The odd extension of a positive-branch map as an array callable.
 
     0 and -0.0 map to 0 and NaN to NaN, and the sign of the argument is
-    carried over exactly, so oddness holds bit for bit.
+    carried over exactly, so oddness holds bit for bit.  The zero fix is
+    needed because a positive branch need not be defined at 0 (xlog's reads
+    NaN there).  A closed form that is already odd on the reals
+    (``odd_on_reals``) is called on the argument itself; adding 0.0 maps
+    its -0.0 to 0, and nothing else changes.
     """
+    if odd_on_reals:
+        return lambda y: fn(y) + 0.0
+
     def odd(y):
-        return np.where(y == 0.0, 0.0, np.sign(y) * fn(np.abs(y)))
+        out = np.copysign(fn(np.abs(y)), y)
+        out[y == 0.0] = 0.0
+        return out
     return odd
 
 
@@ -48,7 +60,9 @@ class Homeomorphism:
     ``known_alpha`` and ``known_beta`` record the lower and upper growth
     exponents when they are known in closed form (``None`` means unknown,
     ``math.inf`` is allowed).  They are metadata only; nothing in the
-    numerics consumes them.
+    numerics consumes them.  ``_odd_on_reals`` is set by the catalog
+    constructors whose closed forms are odd on the whole line, which are
+    then called without the odd extension.
     """
 
     label: str
@@ -56,10 +70,11 @@ class Homeomorphism:
     _inverse_pos: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_alpha: Optional[float] = None
     known_beta: Optional[float] = None
+    _odd_on_reals: bool = False
     _ladder: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def forward(self, y):
-        return _evaluate(_odd(self._forward_pos), y)
+        return _evaluate(_odd(self._forward_pos, self._odd_on_reals), y)
 
     def inverse(self, z):
         """phi^{-1}(z): the closed form when there is one, else the certified
@@ -298,14 +313,17 @@ def _odd_inverse_fn(phi, out_of_range):
     target above the largest representable image raises
     ``UnboundedInputError`` (``out_of_range="raise"``) or maps to inf
     (``"inf"``).  Either way 0 and -0.0 map to 0, NaN to NaN, and the sign
-    of the argument is carried over exactly.  The callable takes a float
-    array and sets no floating-point error state: the public entries wrap
-    each call in ``np.errstate``, and the shooting march binds the callable
-    once and runs its whole loop under one.
+    of the argument is carried over exactly.  A closed form that is odd on
+    the reals (power:1's identity, arcsinh's sinh) is called directly, with
+    no odd extension around it, which is most of the shooting march's cost
+    per stage otherwise.  The callable takes a float array and sets no
+    floating-point error state: the public entries wrap each call in
+    ``np.errstate``, and the shooting march binds the callable once and
+    runs its whole loop under one.
     """
     if phi._inverse_pos is None:
         return _numeric_odd_inverse(phi, out_of_range)
-    return _odd(phi._inverse_pos)
+    return _odd(phi._inverse_pos, phi._odd_on_reals)
 
 
 def _numeric_odd_inverse(phi, out_of_range):
@@ -358,8 +376,10 @@ _TABLE_POINTS = 4096
 class _InverseTable:
     """Fast increasing under-estimate of a positive-branch inverse.
 
-    When the homeomorphism carries an explicit inverse, calls defer to it
-    (saturating to inf past the representable range).  Otherwise this
+    When the homeomorphism carries an explicit inverse, calls defer to its
+    positive branch (saturating to inf past the representable range), with
+    no odd extension: the table only sees nonnegative arguments, M times a
+    mass, and only 0 needs the extension's fix.  Otherwise this
     tabulates z_k = phi(t_k) on a geometric grid t_0 < ... < t_{n-1} over
     the 16 decades below ``t_hi``, a little above the certified root of
     ``z_max``, and returns on [z_k, z_{k+1}] the linear interpolation
@@ -373,9 +393,8 @@ class _InverseTable:
     """
 
     def __init__(self, phi: Homeomorphism, z_max: float):
-        self._exact = None
-        if phi._inverse_pos is not None:
-            self._exact = _odd_inverse_fn(phi, "inf")
+        self._exact = phi._inverse_pos
+        if self._exact is not None:
             return
         px, _ = phi._probe_ladder()
         t_hi = inverse_saturating(phi, float(z_max)) * 1.001
@@ -397,15 +416,23 @@ class _InverseTable:
         z = np.asarray(z, dtype=float)
         if self._exact is not None:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return self._exact(z)
+                return np.where(z == 0.0, 0.0, self._exact(z))
         return np.interp(z, self._z, self._t, left=0.0)
 
 
+def _identity(y):
+    return y
+
+
 def make_power(r: float) -> Homeomorphism:
-    """The odd power map with exponent ``r > 0``; ``r = 1`` is the identity."""
+    """The odd power map with exponent ``r > 0``; ``r = 1`` is the identity,
+    the Laplacian, which is odd on the reals and skips the odd extension."""
     if not (r > 0.0 and np.isfinite(r)):
         raise ValueError("power exponent must be positive and finite")
     r = float(r)
+    if r == 1.0:
+        return Homeomorphism("power:1", _identity, _identity, known_alpha=r,
+                             known_beta=r, _odd_on_reals=True)
     inv = 1.0 / r
     return Homeomorphism(
         label="power:%g" % r,
@@ -538,7 +565,8 @@ def make_catalog_entry(descriptor: str) -> Homeomorphism:
                              known_alpha=1.0, known_beta=None)
     if name == "arcsinh":
         return Homeomorphism("arcsinh", np.arcsinh, np.sinh,
-                             known_alpha=None, known_beta=None)
+                             known_alpha=None, known_beta=None,
+                             _odd_on_reals=True)
     if name == "loglog":
         return Homeomorphism(
             "loglog",

@@ -413,10 +413,14 @@ def _shoot_batch(spec: ProblemSpec, s_values, lam=None):
             derivs(y0, mc, nc, k[0])
             # The float below -u, at the cell's ends to start with, is
             # negative exactly where u >= 0: every lane starts from u = 0.
+            # A cell that starts at u = 0 exactly would read -5e-324 there,
+            # and secants from it creep up from theta = 5e-324; -inf makes
+            # such a lane bisect until its lower end moves.
+            ends = np.nextafter(-record[0, idx, cell + [[0], [1]]], -np.inf)
+            ends[0, y0[0] == 0.0] = -np.inf
             _, theta, _, _ = _lane_root(
                 lambda th: np.nextafter(-rk4(y0, th * h, mc, nc, k)[0], -np.inf),
-                np.zeros(idx.size), np.ones(idx.size),
-                *np.nextafter(-record[0, idx, cell + [[0], [1]]], -np.inf))
+                np.zeros(idx.size), np.ones(idx.size), *ends)
             x_cross[idx] = x[cell] + theta * h
 
     terminal = np.where(crossed, -(grid.b - x_cross), y[0])

@@ -6,7 +6,8 @@ import pytest
 from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, UnboundedInputError,
                     inverse_homeomorphism, inverse_saturating,
                     make_catalog_entry, make_power, numeric_inverse)
-from phibvp.homeomorphisms import _RESIDUAL_TOL, _InverseTable, _lane_root
+from phibvp.homeomorphisms import (_RESIDUAL_TOL, _InverseTable, _lane_root,
+                                   _odd, _odd_inverse_fn)
 
 ALL_ENTRIES = [make_catalog_entry(d) for d in CATALOG_DESCRIPTORS]
 
@@ -80,6 +81,54 @@ class TestOddStructure:
     def test_scalar_in_scalar_out(self, entry):
         z = entry.forward(1.0)
         assert np.ndim(z) == 0
+
+
+def _old_odd(fn):
+    """The sign-product odd extension, kept verbatim as the oracle."""
+    def odd(y):
+        return np.where(y == 0.0, 0.0, np.sign(y) * fn(np.abs(y)))
+    return odd
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def _odd_samples():
+    rng = np.random.default_rng(17)
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        tiny / 3.0, -tiny / 3.0, 1e-300, -1e-300, 1e300,
+                        -1e300, 1.0, -1.0])
+    random = (rng.choice([-1.0, 1.0], 10 ** 5)
+              * 10.0 ** rng.uniform(-320.0, 308.0, 10 ** 5))
+    return np.concatenate((special, random, rng.standard_normal(1000)))
+
+
+@pytest.mark.parametrize("descriptor", CATALOG_DESCRIPTORS + ("power:1",))
+def test_odd_extension_matches_the_sign_product_bit_for_bit(descriptor):
+    # Every odd extension, the copysign wrapper and the direct call of a
+    # closed form odd on the reals alike, and the inverse table's exact
+    # path on nonnegative arguments, against the old extension: the same
+    # bits everywhere, and NaN at the same places.
+    phi = make_catalog_entry(descriptor)
+    assert phi._odd_on_reals == (descriptor in ("power:1", "arcsinh"))
+    y = _odd_samples()
+    pairs = [(phi._forward_pos, phi.forward),
+             (phi._forward_pos, _odd(phi._forward_pos))]
+    if phi._inverse_pos is not None:
+        pairs += [(phi._inverse_pos, _odd_inverse_fn(phi, "inf")),
+                  (phi._inverse_pos, phi.inverse),
+                  (phi._inverse_pos, _odd(phi._inverse_pos))]
+    with np.errstate(all="ignore"):
+        for pos, odd in pairs:
+            assert _same_bits(odd(y), _old_odd(pos)(y))
+        if phi._inverse_pos is not None:
+            z = np.append(np.abs(y), -0.0)
+            assert _same_bits(_InverseTable(phi, 1.0)(z),
+                              _old_odd(phi._inverse_pos)(z))
 
 
 class TestInversion:
