@@ -241,8 +241,12 @@ def support_data(h: GridFunction) -> SupportData:
         alpha = _invert_cell_quadratic(x[i], widths[i], values[i], values[i + 1],
                                        tol - H[i])
 
-    # beta: mirrored search against the remaining mass.
-    R = total - H
+    # beta: the mirror image, the remaining mass accumulated from b and the
+    # in-cell quadratic solved from the cell's right node.  At a right
+    # support edge, where h falls to 0, the cumulative from the left is flat
+    # and its root ill-conditioned; the mirrored one rises there.
+    R = np.append(np.cumsum((0.5 * widths * (values[:-1] + values[1:]))[::-1])[::-1],
+                  0.0)
     j = int(np.searchsorted(-R, -tol, side="left"))
     j = min(max(j, 1), grid.count - 1)
     if R[j - 1] <= tol:
@@ -250,9 +254,8 @@ def support_data(h: GridFunction) -> SupportData:
     elif R[j] >= tol:
         beta = float(x[j])
     else:
-        target = (total - tol) - H[j - 1]
-        beta = _invert_cell_quadratic(x[j - 1], widths[j - 1], values[j - 1],
-                                      values[j], target)
+        beta = x[j] - _invert_cell_quadratic(0.0, widths[j - 1], values[j],
+                                             values[j - 1], tol - R[j])
 
     if beta < alpha:
         alpha = beta = 0.5 * (alpha + beta)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phibvp import (Grid, GridFunction, SolutionProfile, ZeroWeightError,
-                    cumulative_integral, dist_to_boundary, integral,
+                    corpus, cumulative_integral, dist_to_boundary, integral,
                     pointwise_leq, read_grid_function, sup_norm, support_data,
                     write_profile_csv)
 from phibvp.errors import GridMismatchError
@@ -139,6 +139,47 @@ class TestSupportData:
         # The whole cell's mass, or more, reaches its right end.
         assert _invert_cell_quadratic(0.25, 0.5, 1.0, 3.0, 1.0) == 0.75
         assert _invert_cell_quadratic(0.25, 0.5, 1.0, 1.0, 2.0) == 0.75
+
+    def test_edges_against_exact_arithmetic(self):
+        # Both edges of the 200 forcings of corpus(0, 200), against the
+        # exact edges of the same float data: the trapezoid masses of the
+        # nodal values over the cell widths, summed exactly from a for
+        # alpha and from b for beta, and the exact root of the in-cell
+        # quadratic, anchored at the cell's left node for alpha and at
+        # its right node for beta.  Solved against the difference of two
+        # cumulatives from a, beta was off by up to 3.5e5 ulps.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.prec = 120
+
+        def cell_root(v0, v1, w, T):
+            # v0 s + (v1 - v0) s^2 / (2 w) = T, without cancellation.
+            a, b = (mp.mpf(v1) - v0) / (2 * mp.mpf(w)), mp.mpf(v0)
+            return 2 * T / (b + mp.sqrt(b * b + 4 * a * T))
+
+        def ulps(value, exact):
+            return float(abs(value - exact) / np.spacing(abs(float(exact))))
+
+        worst = 0.0
+        for _, _, h in corpus(0, 200):
+            x, w = h.grid.nodes, h.grid.cell_widths
+            v = np.maximum(h.values, 0.0)
+            tol = mp.mpf(1e-12 * cumulative_integral(GridFunction(h.grid, v)).values[-1])
+            mass = [mp.mpf(w[k]) * (mp.mpf(v[k]) + v[k + 1]) / 2
+                    for k in range(w.size)]
+            H = np.cumsum([mp.mpf(0)] + mass)
+            R = np.cumsum([mp.mpf(0)] + mass[::-1])[::-1]
+            i = int(np.flatnonzero(H <= tol)[-1])
+            j = int(np.flatnonzero(R <= tol)[0])
+            alpha = mp.mpf(x[i])
+            if i < w.size:
+                alpha += cell_root(v[i], v[i + 1], w[i], tol - H[i])
+            beta = mp.mpf(x[j])
+            if j > 0:
+                beta -= cell_root(v[j], v[j - 1], w[j - 1], tol - R[j])
+            sd = support_data(h)
+            worst = max(worst, ulps(sd.alpha_h, alpha), ulps(sd.beta_h, beta))
+        assert worst <= 1.0
 
     def test_midpoint_always_interior(self):
         rng = np.random.default_rng(11)
