@@ -146,8 +146,7 @@ class TestSupportData:
         # nodal values over the cell widths, summed exactly from a for
         # alpha and from b for beta, and the exact root of the in-cell
         # quadratic, anchored at the cell's left node for alpha and at
-        # its right node for beta.  Solved against the difference of two
-        # cumulatives from a, beta was off by up to 3.5e5 ulps.
+        # its right node for beta.
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.prec = 120

@@ -446,6 +446,14 @@ def test_lane_root_properties():
 
 
 class TestInverseTable:
+    def test_exact_path_maps_zero_to_zero(self):
+        # The inverse of xlog's inverse is xlog's positive branch, which
+        # reads NaN at 0; the table sends 0 and -0.0 to 0 all the same.
+        table = _InverseTable(inverse_homeomorphism(make_catalog_entry("xlog")),
+                              1.0)
+        out = table(np.array([0.0, -0.0, 1.0]))
+        assert _same_bits(out, np.array([0.0, 0.0, 1.0]))
+
     @pytest.mark.parametrize("descriptor", _NUMERIC_CATALOG)
     @pytest.mark.parametrize("z_max", [1e-2, 1.0, 1e4])
     def test_table_stays_below_the_certified_inverse(self, descriptor, z_max):
