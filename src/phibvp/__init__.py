@@ -11,9 +11,8 @@ the driving homeomorphism.
 from .errors import (ConstructionError, ConvergenceError, GridMismatchError,
                      PhiBVPError, ProblemFileError, UnboundedInputError,
                      ZeroWeightError)
-from .grids import (Grid, GridFunction, cumulative_integral, dist_to_boundary,
-                    integral, pointwise_leq, require_same_grid, sup_norm,
-                    support_data)
+from .grids import (Grid, GridFunction, dist_to_boundary, integral,
+                    pointwise_leq, sup_norm, support_data)
 from .homeomorphisms import (CATALOG_DESCRIPTORS, Homeomorphism,
                              inverse_homeomorphism, inverse_saturating,
                              make_catalog_entry, make_power, numeric_inverse)
@@ -32,8 +31,7 @@ from .orlicz import (HypothesisVerdict, IndexEstimate, LimitClass,
                      check_delta2, check_phi_conditions, classify_limit,
                      duality_check, estimate_indices, growth_ratio,
                      hypothesis_advisor)
-from .problem_io import (json_ready, parse_linear_problem, parse_problem,
-                         read_diagram_csv, read_grid_function,
+from .problem_io import (parse_linear_problem, parse_problem,
                          write_diagram_csv, write_json_report,
                          write_profile_csv)
 from .corpus import corpus, random_forcing
@@ -49,17 +47,15 @@ __all__ = [
     "UnboundedInputError", "ZeroWeightError", "build_subsolution",
     "build_supersolution", "check_cone_membership", "check_delta2",
     "check_phi_conditions", "classify_limit", "compute_lambda1",
-    "cone_lower_bound", "corpus", "cumulative_integral", "dist_to_boundary",
-    "duality_check", "envelope_bounds", "estimate_comparison_constant",
-    "estimate_indices", "growth_ratio", "hypothesis_advisor", "integral",
-    "inverse_homeomorphism", "inverse_saturating", "json_ready",
-    "lambda_star_bisect", "make_catalog_entry", "make_power",
-    "make_sub_super_pair", "monotone_check", "numeric_inverse",
-    "parse_linear_problem", "parse_problem", "pointwise_leq",
-    "random_forcing", "read_diagram_csv", "read_grid_function",
-    "require_same_grid", "rhs", "scan_shooting", "shoot", "solve_between",
-    "solve_linear", "sup_norm", "sup_norm_lower_bound", "support_data",
-    "sweep", "verify_comparison_constant", "verify_subsolution",
-    "verify_supersolution", "with_lambda", "write_diagram_csv",
-    "write_json_report", "write_profile_csv",
+    "cone_lower_bound", "corpus", "dist_to_boundary", "duality_check",
+    "envelope_bounds", "estimate_comparison_constant", "estimate_indices",
+    "growth_ratio", "hypothesis_advisor", "integral", "inverse_homeomorphism",
+    "inverse_saturating", "lambda_star_bisect", "make_catalog_entry",
+    "make_power", "make_sub_super_pair", "monotone_check", "numeric_inverse",
+    "parse_linear_problem", "parse_problem", "pointwise_leq", "random_forcing",
+    "rhs", "scan_shooting", "shoot", "solve_between", "solve_linear",
+    "sup_norm", "sup_norm_lower_bound", "support_data", "sweep",
+    "verify_comparison_constant", "verify_subsolution", "verify_supersolution",
+    "with_lambda", "write_diagram_csv", "write_json_report",
+    "write_profile_csv",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,16 +44,15 @@ class BranchDiagram:
     spec_snapshot: ProblemSpec
 
 
-def check_cone_membership(profile: SolutionProfile, n: GridFunction,
-                          slack: Optional[float] = None) -> bool:
+def check_cone_membership(profile: SolutionProfile, n: GridFunction) -> bool:
     """Whether a profile lies in the cone pinned to the support of n.
 
     The cone condition asks u(x) >= theta * ||u|| * dist(x, boundary), with
     theta the reciprocal-distance constant of the support of n.  Checked
-    nodewise with an absolute slack (default 1e-8 * (1 + ||u||)).
+    nodewise with an absolute slack of 1e-8 * (1 + ||u||).
     """
     return _in_cone(profile.u.values, dist_to_boundary(profile.u.grid).values,
-                    support_data(n).theta_under, slack)
+                    support_data(n).theta_under)
 
 
 def compute_lambda1(spec: ProblemSpec, R: float):

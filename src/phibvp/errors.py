@@ -14,7 +14,8 @@ class ZeroWeightError(PhiBVPError, ValueError):
 
 
 class UnboundedInputError(PhiBVPError, ValueError):
-    """A numeric inversion target lies beyond every representable bracket."""
+    """A numeric inversion target lies beyond every representable bracket,
+    or a map is finite over too few octaves for a computation on it."""
 
 
 class ConstructionError(PhiBVPError, ValueError):

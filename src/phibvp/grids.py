@@ -91,10 +91,6 @@ class GridFunction:
             raise ValueError("values must have one entry per grid node")
         object.__setattr__(self, "values", _frozen_array(values))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
     def __call__(self, x):
         """Piecewise-linear interpolation at point(s) ``x``."""
         return np.interp(x, self.grid.nodes, self.values)
@@ -153,11 +149,6 @@ def _cell_trapezoids(samples: np.ndarray, sub_widths: np.ndarray) -> np.ndarray:
     samples across cell i, ``sub_widths[i]`` apart, ends included."""
     inner = np.sum(samples, axis=1) - 0.5 * (samples[:, 0] + samples[:, -1])
     return sub_widths * inner
-
-
-def cumulative_integral(fn: GridFunction) -> GridFunction:
-    """Trapezoid antiderivative of ``fn`` vanishing at the left endpoint."""
-    return GridFunction(fn.grid, cumulative_trapezoid_values(fn.grid, fn.values))
 
 
 def integral(fn: GridFunction) -> float:

@@ -538,6 +538,8 @@ def make_catalog_entry(descriptor: str) -> Homeomorphism:
     name, _, argstr = descriptor.partition(":")
     name = name.strip()
     args = [float(s) for s in argstr.split(",")] if argstr else []
+    if not all(math.isfinite(arg) for arg in args):
+        raise ValueError("descriptor exponents must be finite, got %r" % argstr)
 
     if name == "power":
         if len(args) != 1:

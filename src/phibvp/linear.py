@@ -49,6 +49,8 @@ from .homeomorphisms import (Homeomorphism, _InverseTable, _lane_root,
 
 DEFAULT_TOL = 1e-10
 _REFINE = 16
+# Absolute slack ``monotone_check`` allows between the two solutions.
+_MONOTONE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -212,16 +214,16 @@ def solve_linear(phi: Homeomorphism, h: GridFunction,
     )
 
 
-def monotone_check(phi: Homeomorphism, h1: GridFunction, h2: GridFunction,
-                   slack: float = 1e-8) -> bool:
-    """True when the solution operator preserves the order h1 <= h2."""
+def monotone_check(phi: Homeomorphism, h1: GridFunction, h2: GridFunction) -> bool:
+    """True when the solution operator preserves the order h1 <= h2, up to
+    an absolute slack of 1e-8 on the solutions."""
     require_same_grid(h1, h2)
     scale = 1.0 + float(np.max(np.abs(h2.values)))
     if not np.all(h1.values <= h2.values + 1e-12 * scale):
         raise ValueError("h1 must lie below h2 pointwise")
     u1 = solve_linear(phi, h1)
     u2 = solve_linear(phi, h2)
-    return bool(np.all(u1.u.values <= u2.u.values + slack))
+    return bool(np.all(u1.u.values <= u2.u.values + _MONOTONE_SLACK))
 
 
 def sup_norm_lower_bound(phi: Homeomorphism, h: GridFunction) -> float:

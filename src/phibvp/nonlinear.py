@@ -71,20 +71,18 @@ def _cell_means(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[:-1] + values[1:])
 
 
-def _verify_profile(spec: ProblemSpec, profile: SolutionProfile, corners,
+def _verify_profile(spec: ProblemSpec, profile: SolutionProfile,
                     sense: int) -> VerifyResult:
     """Shared body of the two verifiers; sense +1 checks a supersolution."""
     grid = spec.grid
-    x = grid.nodes
     widths = grid.cell_widths
     u = profile.u.values
-    du = profile.du.values
 
     plus = GridFunction(grid, np.maximum(u, 0.0))
     forcing = rhs(spec, plus).values
     cell_rhs = _cell_means(forcing)
 
-    p = spec.phi.forward(du)
+    p = spec.phi.forward(profile.du.values)
     ode_lhs = -np.diff(p) / widths
     if sense > 0:
         cell_viol = cell_rhs - ode_lhs
@@ -93,38 +91,26 @@ def _verify_profile(spec: ProblemSpec, profile: SolutionProfile, corners,
         cell_viol = ode_lhs - cell_rhs
         boundary_viol = max(u[0], u[-1])
 
-    corner_viol = 0.0
-    for tau in corners:
-        j = int(np.clip(np.searchsorted(x, tau) - 1, 0, grid.count - 2))
-        jump = du[j + 1] - du[j]
-        corner_viol = max(corner_viol, sense * jump)
-    # A corner-bearing cell carries a flux jump of the favorable sign, so
-    # the plain difference quotient on it still bounds the defect; the cell
-    # check stays active there on purpose.
-
-    raw = max(float(np.max(cell_viol)), boundary_viol, corner_viol)
+    raw = max(float(np.max(cell_viol)), boundary_viol)
     return VerifyResult(passed=raw <= _VERIFY_SLACK,
                         max_violation=raw if raw > 0.0 else 0.0)
 
 
-def verify_supersolution(spec: ProblemSpec, w: SolutionProfile,
-                         corners=()) -> VerifyResult:
+def verify_supersolution(spec: ProblemSpec, w: SolutionProfile) -> VerifyResult:
     """Check the discrete supersolution inequalities for a profile.
 
     Cellwise, the decrease of phi(w') across each cell must dominate the
-    cell-averaged right-hand side evaluated at w; the boundary values must
-    be nonnegative; and at each corner location the slope must drop.  The
-    result reports the worst violation in natural units (defect per unit
-    length for cells, value for boundaries, slope gap for corners); it
+    cell-averaged right-hand side evaluated at w, and the boundary values
+    must be nonnegative.  The result reports the worst violation in natural
+    units (defect per unit length for cells, value for boundaries); it
     passes up to 1e-9.
     """
-    return _verify_profile(spec, w, corners, sense=+1)
+    return _verify_profile(spec, w, sense=+1)
 
 
-def verify_subsolution(spec: ProblemSpec, v: SolutionProfile,
-                       corners=()) -> VerifyResult:
+def verify_subsolution(spec: ProblemSpec, v: SolutionProfile) -> VerifyResult:
     """Mirror image of ``verify_supersolution`` with all inequalities reversed."""
-    return _verify_profile(spec, v, corners, sense=-1)
+    return _verify_profile(spec, v, sense=-1)
 
 
 def _largest_prefix_valid(grid_points: np.ndarray, margin, what: str) -> float:
@@ -627,8 +613,8 @@ def _scan(spec, lams, s_max, count, stop_at_first=False):
     confirmed bracketed root, whose profile comes back alone.  A lambda
     that confirms no probe during the refinement finishes as
     ``scan_shooting`` does."""
-    if not (s_max > 0.0 and count >= 2):
-        raise ValueError("need s_max > 0 and count >= 2")
+    if not (0.0 < s_max < math.inf and count >= 2):
+        raise ValueError("need a finite s_max > 0 and count >= 2")
     lams = np.asarray(lams, dtype=float)
     defect_tol = _DEFECT_TOL_REL * (spec.grid.b - spec.grid.a)
     accept_tol = _CONFIRM * defect_tol

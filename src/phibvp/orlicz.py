@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import UnboundedInputError
 from .homeomorphisms import (Homeomorphism, _reciprocal_index,
                              inverse_homeomorphism)
 
@@ -90,13 +91,23 @@ def representable_x_grid(phi: Homeomorphism) -> np.ndarray:
     """Dyadic grid (see ``_dyadic_grid``) spanning the octaves where phi is
     finite and positive, starting no lower than the smallest normal float:
     below it x itself is quantized, and for an inverse map so are the
-    targets it inverts."""
+    targets it inverts.
+
+    Raises ``UnboundedInputError`` when that range spans fewer than the 40
+    octaves by which the growth fit shifts x: past it every ratio is lost.
+    """
     px, _ = phi._probe_ladder()
-    return _dyadic_grid(max(float(px[0]), _TINY_NORMAL), float(px[-1]))
+    lo, hi = max(float(px[0]), _TINY_NORMAL), float(px[-1])
+    if not math.log2(hi) - math.log2(lo) >= _K_MAX:
+        raise UnboundedInputError(
+            "%s is finite and positive only on [%g, %g], fewer than the %d "
+            "octaves the growth fit needs" % (phi.label, lo, hi, _K_MAX))
+    return _dyadic_grid(lo, hi)
 
 
-def growth_ratio(phi: Homeomorphism, t: float, x_grid=None) -> float:
-    """Largest sampled value of phi(t x) / phi(x); equals 1 at t = 1.
+def growth_ratio(phi: Homeomorphism, t: float) -> float:
+    """Largest value of phi(t x) / phi(x) sampled on
+    ``representable_x_grid(phi)``; equals 1 at t = 1.
 
     Lanes whose numerator is not finite are dropped (they reflect float
     range, not the map), and so are lanes where either factor lands in the
@@ -108,17 +119,13 @@ def growth_ratio(phi: Homeomorphism, t: float, x_grid=None) -> float:
     t = float(t)
     if not (t > 0.0 and np.isfinite(t)):
         raise ValueError("growth ratio needs a positive finite t")
-    if x_grid is None:
-        x_grid = representable_x_grid(phi)
-    x = np.asarray(x_grid, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("x_grid must be positive and finite")
+    x = representable_x_grid(phi)
     return _sampled_ratio(phi, t, x, np.asarray(phi.forward(x), dtype=float))
 
 
 def _sampled_ratio(phi: Homeomorphism, t: float, x: np.ndarray,
                    den: np.ndarray) -> float:
-    """``growth_ratio`` on a checked grid x, given den = phi(x)."""
+    """``growth_ratio`` on a dyadic grid x, given den = phi(x)."""
     with np.errstate(over="ignore"):
         num = np.asarray(phi.forward(t * x), dtype=float)
     return _ratio_sup(num, den)

@@ -26,7 +26,6 @@ Linear problem files use the keys interval, grid_size, phi, h.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
@@ -278,7 +277,7 @@ def _format_float(value: float) -> str:
 
 
 def write_profile_csv(path, profile) -> None:
-    """Write ``x,u,du`` rows; ``read_grid_function`` reads them back."""
+    """Write ``x,u,du`` rows, one per grid node."""
     x = profile.grid.nodes
     with open(path, "w", newline="\n") as handle:
         handle.write("x,u,du\n")
@@ -300,41 +299,12 @@ def write_diagram_csv(path, diagram) -> None:
                                 1 if sol.in_cone else 0))
 
 
-def read_diagram_csv(path):
-    """Rows of (lambda, branch_index, sup_norm, initial_slope, in_cone)."""
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        needed = {"lambda", "branch_index", "sup_norm", "initial_slope", "in_cone"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise ValueError("diagram CSV must have columns %s" % ", ".join(sorted(needed)))
-        for row in reader:
-            rows.append((float(row["lambda"]), int(row["branch_index"]),
-                         float(row["sup_norm"]), float(row["initial_slope"]),
-                         bool(int(row["in_cone"]))))
-    return rows
-
-
-def read_grid_function(path) -> GridFunction:
-    """Read u on its grid from a CSV with ``x`` and ``u`` columns, such as
-    the ``x,u,du`` file ``write_profile_csv`` writes."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"x", "u"} <= set(reader.fieldnames):
-            raise ValueError("CSV must have 'x' and 'u' columns")
-        xs, vs = [], []
-        for row in reader:
-            xs.append(float(row["x"]))
-            vs.append(float(row["u"]))
-    return GridFunction(Grid(np.asarray(xs)), np.asarray(vs))
-
-
-def json_ready(value):
+def _json_ready(value):
     """Recursively coerce to JSON-safe types; non-finite floats to strings."""
     if isinstance(value, dict):
-        return {str(k): json_ready(v) for k, v in value.items()}
+        return {str(k): _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
+        return [_json_ready(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -351,6 +321,6 @@ def json_ready(value):
 
 def write_json_report(path, payload: dict) -> None:
     """Stable serialization: sorted keys, two-space indent, trailing newline."""
-    text = json.dumps(json_ready(payload), sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", newline="\n") as handle:
         handle.write(text + "\n")

@@ -106,7 +106,7 @@ def test_3_order_preservation(report):
         h1 = random_forcing(rng, grid)
         bump = random_forcing(rng, grid)
         h2 = GridFunction(grid, h1.values + bump.values)
-        if not monotone_check(phi, h1, h2, slack=1e-8):
+        if not monotone_check(phi, h1, h2):
             violations += 1
     ok = violations == 0
     report("acceptance 3, order preservation", ok,

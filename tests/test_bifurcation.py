@@ -159,6 +159,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(reference_spec(n_nodes=129), [0.0, 1.0], s_max=10.0)
 
+    def test_infinite_s_max_rejected(self):
+        # It once read as no solution at every lambda.
+        with pytest.raises(ValueError, match="finite s_max > 0"):
+            sweep(reference_spec(n_nodes=129), [1.0, 8.0], s_max=math.inf)
+
 
 def exists_alone(spec, lam, count=60):
     """Existence at one lambda, from a scan of that lambda alone."""

@@ -40,6 +40,7 @@ class TestCatalogParsing:
     @pytest.mark.parametrize("bad", [
         "power", "power:1,2", "sum-powers:3", "ratio", "logpow",
         "xlog:1", "arcsinh:2", "loglog:0.5",
+        "ratio:inf,1", "sum-powers:inf,1", "logpow:inf", "ratio:2,nan",
     ])
     def test_malformed_arguments_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, HypothesisVerdict,
-                    IndexEstimate, LimitClass, check_delta2,
+                    IndexEstimate, LimitClass, UnboundedInputError, check_delta2,
                     check_phi_conditions, classify_limit, duality_check,
                     estimate_indices, growth_ratio, hypothesis_advisor,
                     inverse_homeomorphism, make_catalog_entry, make_power)
@@ -46,17 +47,23 @@ class TestGrowthRatio:
 
     def test_sum_powers_decade(self):
         phi = make_catalog_entry("sum-powers:3,1.5")
-        grid = np.geomspace(1e-8, 1e8, 2000)
-        assert growth_ratio(phi, 10.0, grid) == pytest.approx(1e3, rel=2e-2)
+        assert growth_ratio(phi, 10.0) == pytest.approx(1e3, rel=2e-2)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_scale_rejected(self, bad):
         with pytest.raises(ValueError):
             growth_ratio(make_power(2.0), bad)
 
-    def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
-            growth_ratio(make_power(2.0), 2.0, x_grid=[0.0, 1.0])
+    @pytest.mark.parametrize("r, span", [(1000.0, "[1, 1]"),
+                                         (300.0, "[0.1, 10]")])
+    def test_map_finite_over_too_few_octaves_rejected(self, r, span):
+        # power:1000 is finite and positive on one probe, power:300 on
+        # about 7 octaves; the fit shifts x by up to 40.
+        phi = make_power(r)
+        with pytest.raises(UnboundedInputError, match=re.escape(span)):
+            estimate_indices(phi)
+        with pytest.raises(UnboundedInputError, match="40 octaves"):
+            growth_ratio(phi, 2.0)
 
     def test_estimate_evaluates_phi_on_its_grid_once(self):
         # One forward call builds the probe ladder and one evaluates phi on

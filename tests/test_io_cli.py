@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from phibvp import (BranchDiagram, BranchPoint, BranchSolution,
-                    ProblemFileError, json_ready, parse_linear_problem,
-                    parse_problem, read_diagram_csv, read_grid_function,
+                    ProblemFileError, parse_linear_problem, parse_problem,
                     support_data, write_diagram_csv, write_json_report)
 from phibvp.cli import build_parser, main
+from phibvp.problem_io import _json_ready
+
+
+def read_csv(path):
+    """The numeric rows of a CSV the package wrote, below its header."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def write_file(path, payload):
@@ -112,6 +117,13 @@ class TestParseProblem:
                           problem_payload(phi="spline:3"))
         with pytest.raises(ProblemFileError, match="phi:"):
             parse_problem(path)
+
+    def test_non_finite_phi_exponent_rejected(self, tmp_path):
+        path = write_file(tmp_path / "lin.json",
+                          linear_payload(phi="ratio:inf,1"))
+        with pytest.raises(ProblemFileError,
+                           match="phi: descriptor exponents must be finite"):
+            parse_linear_problem(path)
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ProblemFileError, match="cannot read problem file"):
@@ -231,7 +243,7 @@ class TestLinearFiles:
 
 class TestSerialization:
     def test_json_ready_handles_non_finite_and_numpy(self):
-        out = json_ready({
+        out = _json_ready({
             "a": np.float64(1.5),
             "b": math.nan,
             "c": math.inf,
@@ -260,14 +272,10 @@ class TestSerialization:
             lambda_star_estimate=math.nan, spec_snapshot=None)
         path = tmp_path / "diagram.csv"
         write_diagram_csv(path, diagram)
-        rows = read_diagram_csv(path)
-        assert rows == [(0.5, 0, 1.25, 3.0, True), (0.5, 1, 0.5, 0.25, False)]
-
-    def test_diagram_reader_requires_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("lambda,sup_norm\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="diagram CSV"):
-            read_diagram_csv(path)
+        assert path.read_text().splitlines()[0] == (
+            "lambda,branch_index,sup_norm,initial_slope,in_cone")
+        assert read_csv(path).tolist() == [[0.5, 0, 1.25, 3.0, 1],
+                                           [0.5, 1, 0.5, 0.25, 0]]
 
 
 class TestCli:
@@ -281,8 +289,8 @@ class TestCli:
         assert report["envelope_upper_holds"] is True
         assert report["cone_bound_holds"] is True
         assert report["half_bracket_below_sup_norm"] is True
-        u = read_grid_function(out / "solution.csv")
-        assert u.values[0] == 0.0 and u.values[-1] == 0.0
+        u = read_csv(out / "solution.csv")[:, 1]
+        assert u[0] == 0.0 and u[-1] == 0.0
 
     def test_solve_linear_is_deterministic(self, tmp_path):
         problem = write_file(tmp_path / "lin.json", linear_payload())
@@ -309,11 +317,10 @@ class TestCli:
         assert report["inward_slopes"] is True
         for name in ("sub.csv", "super.csv", "solution.csv"):
             assert (out / name).exists()
-        sub = read_grid_function(out / "sub.csv")
-        sol = read_grid_function(out / "solution.csv")
-        sup = read_grid_function(out / "super.csv")
-        assert np.all(sub.values <= sol.values + 1e-9)
-        assert np.all(sol.values <= sup.values + 1e-9)
+        sub, sol, sup = (read_csv(out / name)[:, 1]
+                         for name in ("sub.csv", "solution.csv", "super.csv"))
+        assert np.all(sub <= sol + 1e-9)
+        assert np.all(sol <= sup + 1e-9)
 
     def test_sweep_end_to_end(self, tmp_path):
         problem = write_file(tmp_path / "p.json", problem_payload())
@@ -327,9 +334,9 @@ class TestCli:
         assert report["lambda0"] == pytest.approx(1.0, rel=1e-9)
         assert report["lambda1"] == pytest.approx(0.375, rel=1e-9)
         assert report["rho"] == pytest.approx(0.5, rel=1e-9)
-        rows = read_diagram_csv(out / "diagram.csv")
+        rows = read_csv(out / "diagram.csv")
         assert len(rows) == 4
-        assert all(row[4] for row in rows)
+        assert np.all(rows[:, 4] == 1)
 
     def test_indices_end_to_end(self, tmp_path):
         out = tmp_path / "out"
@@ -387,6 +394,37 @@ class TestCli:
         assert main(["sweep", problem, "--lambda-min", "2.0",
                      "--lambda-max", "1.0"]) == 1
         assert "lambda-min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry",
+                             ["ratio:inf,1", "sum-powers:inf,1", "logpow:inf"])
+    def test_non_finite_exponent_exits_one(self, entry, tmp_path, capsys):
+        # indices once ended in a ZeroDivisionError traceback, and
+        # solve-linear in "numeric inverse missed its tolerance".
+        problem = write_file(tmp_path / "lin.json", linear_payload(phi=entry))
+        assert main(["indices", entry, "--out-dir", str(tmp_path)]) == 1
+        assert main(["solve-linear", problem, "--out-dir", str(tmp_path)]) == 1
+        message = ("descriptor exponents must be finite, got %r"
+                   % entry.partition(":")[2])
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message, "error: phi: " + message]
+
+    @pytest.mark.parametrize("entry, span", [("power:1000", "[1, 1]"),
+                                             ("power:300", "[0.1, 10]")])
+    def test_too_narrow_map_exits_one(self, entry, span, tmp_path, capsys):
+        assert main(["indices", entry, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: %s is finite and positive only on %s, fewer than the 40 "
+            "octaves the growth fit needs" % (entry, span)]
+        assert not (tmp_path / "indices.json").exists()
+
+    def test_infinite_s_max_exits_one(self, tmp_path, capsys):
+        problem = write_file(tmp_path / "p.json", problem_payload())
+        out = tmp_path / "out"
+        assert main(["sweep", problem, "--grid-size", "65",
+                     "--lambda-min", "0.05", "--lambda-max", "0.5",
+                     "--s-max", "inf", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: need a finite s_max")
+        assert not out.exists()
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as info:

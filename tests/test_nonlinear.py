@@ -53,9 +53,17 @@ def splice(pieces, take_first):
                            c_star=float(pieces[0].c_star), residual=0.0)
 
 
-def crossing_location(grid, diff):
-    idx = int(np.flatnonzero(diff[:-1] * diff[1:] < 0.0)[0])
-    return 0.5 * (grid.nodes[idx] + grid.nodes[idx + 1])
+def crossing_pieces(spec):
+    """Solved profiles of two indicator forcings, one left and one right;
+    they cross once, so a min or max splice of them has one corner."""
+    x = spec.grid.nodes
+    left = solve_linear(spec.phi, GridFunction(spec.grid,
+                                               (x <= 0.35).astype(float)))
+    right = solve_linear(spec.phi, GridFunction(spec.grid,
+                                                (x >= 0.55).astype(float)))
+    diff = left.u.values - right.u.values
+    assert np.count_nonzero(diff[:-1] * diff[1:] < 0.0) == 1
+    return left, right
 
 
 def _midpoint(lo, hi):
@@ -267,46 +275,27 @@ class TestVerifiers:
         assert not report.passed
         assert report.max_violation == pytest.approx(0.1, abs=1e-12)
 
-    def test_min_splice_passes_with_declared_corner(self):
+    # A verifier reads a corner through the difference quotient of its
+    # cell: a favorable flux jump there only helps, an unfavorable one fails.
+    def test_min_splice_passes_as_supersolution(self):
         spec = zero_rhs_spec()
-        x = spec.grid.nodes
-        left = solve_linear(spec.phi, GridFunction(spec.grid,
-                                                   (x <= 0.35).astype(float)))
-        right = solve_linear(spec.phi, GridFunction(spec.grid,
-                                                    (x >= 0.55).astype(float)))
-        diff = left.u.values - right.u.values
-        tau = crossing_location(spec.grid, diff)
+        left, right = crossing_pieces(spec)
         lower = splice((left, right), left.u.values <= right.u.values)
-        report = verify_supersolution(spec, lower, corners=(tau,))
-        assert report.passed
+        assert verify_supersolution(spec, lower).passed
 
     def test_max_splice_fails_as_supersolution(self):
         spec = zero_rhs_spec()
-        x = spec.grid.nodes
-        left = solve_linear(spec.phi, GridFunction(spec.grid,
-                                                   (x <= 0.35).astype(float)))
-        right = solve_linear(spec.phi, GridFunction(spec.grid,
-                                                    (x >= 0.55).astype(float)))
-        diff = left.u.values - right.u.values
-        tau = crossing_location(spec.grid, diff)
+        left, right = crossing_pieces(spec)
         upper = splice((left, right), left.u.values >= right.u.values)
-        report = verify_supersolution(spec, upper, corners=(tau,))
-        assert not report.passed
+        assert not verify_supersolution(spec, upper).passed
 
     def test_max_splice_passes_as_subsolution_under_dominating_rhs(self):
         # With forcing one everywhere, each piece satisfies the subsolution
         # cell inequality and the upward slope jump is the right corner sign.
         spec = constant_rhs_spec()
-        x = spec.grid.nodes
-        left = solve_linear(spec.phi, GridFunction(spec.grid,
-                                                   (x <= 0.35).astype(float)))
-        right = solve_linear(spec.phi, GridFunction(spec.grid,
-                                                    (x >= 0.55).astype(float)))
-        diff = left.u.values - right.u.values
-        tau = crossing_location(spec.grid, diff)
+        left, right = crossing_pieces(spec)
         upper = splice((left, right), left.u.values >= right.u.values)
-        report = verify_subsolution(spec, upper, corners=(tau,))
-        assert report.passed
+        assert verify_subsolution(spec, upper).passed
 
 
 class TestSolveBetween:
@@ -470,6 +459,9 @@ class TestShooting:
     def test_scan_parameters_validated(self):
         with pytest.raises(ValueError):
             scan_shooting(constant_rhs_spec(65), s_max=0.0)
+        # An infinite s_max once scanned nothing and returned [].
+        with pytest.raises(ValueError, match="finite s_max > 0"):
+            scan_shooting(constant_rhs_spec(65), s_max=np.inf)
 
 
 class TestConvergenceOrder:

@@ -1,6 +1,7 @@
 """The package's public surface: ``__all__`` resolves, every name the
-demos, the benchmark and the README take from the package stays in it, the
-parameters of every exported function are pinned, and every demo runs."""
+demos, the benchmark and the README take from the package stays in it,
+every exported function has a caller outside the tests, the parameters of
+every exported function are pinned, and every demo runs."""
 
 import ast
 import importlib
@@ -25,38 +26,33 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SIGNATURES = {
     "build_subsolution": "spec comparison_constant upper",
     "build_supersolution": "spec",
-    "check_cone_membership": "profile n slack=",
+    "check_cone_membership": "profile n",
     "check_delta2": "phi",
     "check_phi_conditions": "phi estimate=",
     "classify_limit": "phi q end",
     "compute_lambda1": "spec R",
     "cone_lower_bound": "phi h slack=",
     "corpus": "seed count grid_size=",
-    "cumulative_integral": "fn",
     "dist_to_boundary": "grid",
     "duality_check": "phi",
     "envelope_bounds": "phi h",
     "estimate_comparison_constant": "phi h M_grid=",
     "estimate_indices": "phi",
-    "growth_ratio": "phi t x_grid=",
+    "growth_ratio": "phi t",
     "hypothesis_advisor": "phi q r1 r2",
     "integral": "fn",
     "inverse_homeomorphism": "phi",
     "inverse_saturating": "phi z",
-    "json_ready": "value",
     "lambda_star_bisect": "spec_template lo hi tol= s_max= count=",
     "make_catalog_entry": "descriptor",
     "make_power": "r",
     "make_sub_super_pair": "spec",
-    "monotone_check": "phi h1 h2 slack=",
+    "monotone_check": "phi h1 h2",
     "numeric_inverse": "phi y",
     "parse_linear_problem": "path grid_size=",
     "parse_problem": "path grid_size=",
     "pointwise_leq": "lo hi slack=",
     "random_forcing": "rng grid",
-    "read_diagram_csv": "path",
-    "read_grid_function": "path",
-    "require_same_grid": "*functions",
     "rhs": "spec u",
     "scan_shooting": "spec s_max count=",
     "shoot": "spec s",
@@ -67,8 +63,8 @@ SIGNATURES = {
     "support_data": "h",
     "sweep": "spec_template lambda_grid s_max count=",
     "verify_comparison_constant": "phi h c M_grid",
-    "verify_subsolution": "spec v corners=",
-    "verify_supersolution": "spec w corners=",
+    "verify_subsolution": "spec v",
+    "verify_supersolution": "spec w",
     "with_lambda": "spec lam",
     "write_diagram_csv": "path diagram",
     "write_json_report": "path payload",
@@ -124,6 +120,44 @@ def test_readme_imports_only_exported_names():
     for block in _readme_python_blocks():
         used |= _imported_from_package(block)
     assert used and used <= set(phibvp.__all__)
+
+
+def _mentioned_names(source):
+    """Every identifier, attribute, imported name and string constant in
+    the code of the source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_exported_functions_have_callers_outside_the_tests():
+    # A caller is a package module other than the defining one (the
+    # package's __init__ only re-exports), a demo, the benchmark (its span
+    # targets are strings) or a README example.
+    paths = DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    sources = [path.read_text() for path in paths] + _readme_python_blocks()
+    outside = set().union(*map(_mentioned_names, sources))
+    by_module = {path.stem: _mentioned_names(path.read_text())
+                 for path in sorted((ROOT / "src" / "phibvp").glob("*.py"))
+                 if path.name != "__init__.py"}
+    uncalled = []
+    for name in phibvp.__all__:
+        fn = getattr(phibvp, name)
+        if not inspect.isfunction(fn) or name in outside:
+            continue
+        home = fn.__module__.rpartition(".")[2]
+        if not any(name in names for module, names in by_module.items()
+                   if module != home):
+            uncalled.append(name)
+    assert uncalled == []
 
 
 def _signature(fn):
