@@ -23,8 +23,8 @@ from .homeomorphisms import (Homeomorphism, _reciprocal_index,
 
 _GRID_POINTS = 10 ** 4
 _LN2 = math.log(2.0)
-# A finite ratio this large is read as an escaping supremum: genuine
-# power-type maps never get near it on dyadic t up to 2**40.
+# A finite ratio this large is read as an escaping supremum.  A power map
+# of exponent above about 8.3 reaches it at t = 2**40.
 _SATURATION_RATIO = 1e100
 _BIG = math.log(1e6)
 _TINY_NORMAL = float(np.finfo(float).tiny)
@@ -144,13 +144,29 @@ def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
 def _dyadic_ratios(phi: Homeomorphism, grid: np.ndarray, ks) -> np.ndarray:
     """``_sampled_ratio`` at t = 2^k for each integer k in ks, |k| <= 40, on
     a dyadic grid, all read from one evaluation of phi on the grid extended
-    by 40 octaves on each side."""
+    by 40 octaves on each side.
+
+    The lane rule of ``_ratio_sup`` is applied once to that evaluation: a
+    numerator that is not finite or is subnormal, and a denominator that is
+    not finite and normal, is set to NaN.  Each ratio is then one division
+    and one NaN-skipping maximum, and a shift with no lane left reads inf.
+    """
     ext, m = _octave_extension(grid, _K_MAX)
     vals = np.asarray(phi.forward(ext), dtype=float)
     n = grid.size
     den = vals[_K_MAX * m:_K_MAX * m + n]
-    starts = [(_K_MAX + int(k)) * m for k in ks]
-    return np.array([_ratio_sup(vals[i:i + n], den) for i in starts])
+    den = np.where(np.isfinite(den) & (den >= _TINY_NORMAL), den, np.nan)
+    num = np.where(np.isfinite(vals)
+                   & ((vals == 0.0) | (vals >= _TINY_NORMAL)), vals, np.nan)
+    sups = np.empty(len(ks))
+    quotient = np.empty(n)
+    with np.errstate(over="ignore"):
+        for j, k in enumerate(ks):
+            start = (_K_MAX + int(k)) * m
+            np.divide(num[start:start + n], den, out=quotient)
+            sups[j] = np.fmax.reduce(quotient)
+    sups[np.isnan(sups)] = math.inf
+    return sups
 
 
 @dataclass(frozen=True)
@@ -192,16 +208,27 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     The lower exponent is the least-squares slope of ln M(t) against ln t
     over the deepest 12 values of t = 2^-k; the upper exponent is fitted the
     same way over the largest 12 values of t = 2^k.  The upper one is
-    reported as inf when the ratio saturates (a non-finite or absurdly
-    large sample) or when the slope still grows across the window, both of
+    reported as inf when the ratio saturates (a non-finite sample or one
+    above 1e100) or when the slope still grows across the window, both of
     which signal faster-than-power growth.  A lower slope under 0.02 is
     snapped to exactly 0: at that size it is indistinguishable from the
     logarithmic corrections of a zero-exponent map.
+
+    Each sample keeps only the lanes of ``growth_ratio``'s rule.  Raises
+    ``UnboundedInputError``, naming the t, when a small-t sample underflows
+    to 0 (power maps of exponent 27 and up do by t = 2^-40): the lower
+    fit needs every logarithm finite.
     """
     ks = np.arange(_K_MIN, _K_MAX + 1)
     ratios = _dyadic_ratios(phi, representable_x_grid(phi),
                             np.concatenate((-ks, ks)))
     m_small, m_large = ratios[:ks.size], ratios[ks.size:]
+    lost = np.flatnonzero(m_small == 0.0)
+    if lost.size:
+        raise UnboundedInputError(
+            "the growth ratio of %s underflows to 0 at t = 2^-%d; the "
+            "growth fit needs it positive down to t = 2^-%d"
+            % (phi.label, ks[lost[0]], _K_MAX))
 
     ln_t_small = -ks * _LN2
     alpha_raw, alpha_rms = _ls_slope(ln_t_small[-_FIT_POINTS:],
@@ -238,39 +265,31 @@ class Delta2Result(NamedTuple):
     k_hat: float
 
 
-def _doubling_sup(phi: Homeomorphism, x: np.ndarray) -> float:
-    """Supremum of phi(2x)/phi(x) with overflow kept as inf on purpose.
-
-    Not ``growth_ratio(phi, 2.0, x)``: that drops lanes whose numerator
-    overflows, so on expm1 it reads about 1.1e154 on both default grids
-    where this reads inf, and ``check_delta2`` would then pass a map that
-    is not doubling.  On the catalog maps the two agree exactly.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = np.asarray(phi.forward(2.0 * x), dtype=float)
-        den = np.asarray(phi.forward(x), dtype=float)
-    valid = np.isfinite(den) & (den > 0.0) & ~np.isnan(num)
-    if not np.any(valid):
-        return math.inf
-    return float(np.max(num[valid] / den[valid]))
-
-
 def check_delta2(phi: Homeomorphism) -> Delta2Result:
     """Test the doubling condition phi(2x) <= k phi(x).
 
-    The doubling constant is sampled on the 10,099 log-spaced x of the
-    dyadic check grid over [1e-8, 1e8] (190 per octave) and again on as
-    many log-spaced x in [1e-9, 1e9]; the condition is reported to hold
-    when both samples are finite and the extension grows the constant by
-    less than a factor of two.  Exponential-type maps blow past both gates;
-    power-log maps settle immediately.
+    The doubling constant is the supremum of phi(2x) / phi(x) over the lanes
+    ``growth_ratio`` keeps (a numerator that overflows or is subnormal, or a
+    denominator that is not finite and normal, is dropped), read as inf when
+    it exceeds 1e100 as in ``estimate_indices``.  It is sampled on the
+    10,099 log-spaced x of the dyadic check grid over [1e-8, 1e8] (190 per
+    octave) and again on as many log-spaced x in [1e-9, 1e9]; the condition
+    is reported to hold when both samples are finite and the extension
+    grows the constant by less than a factor of two.  Exponential-type maps
+    blow past the saturation on both grids; power-log maps settle
+    immediately.
     """
-    x = _CHECK_X_GRID
-    base = _doubling_sup(phi, x)
-    ext = np.geomspace(x[0] / 10.0, x[-1] * 10.0, x.size)
-    k_ext = _doubling_sup(phi, ext)
-    holds = bool(np.isfinite(base) and np.isfinite(k_ext) and k_ext <= 2.0 * base)
-    return Delta2Result(holds=holds, k_hat=k_ext if np.isfinite(k_ext) else math.inf)
+    grid = _CHECK_X_GRID
+    wide = np.geomspace(grid[0] / 10.0, grid[-1] * 10.0, grid.size)
+    sups = []
+    for x in (grid, wide):
+        with np.errstate(over="ignore"):
+            den = np.asarray(phi.forward(x), dtype=float)
+        sup = _sampled_ratio(phi, 2.0, x, den)
+        sups.append(sup if sup <= _SATURATION_RATIO else math.inf)
+    base, k_ext = sups
+    holds = bool(base < math.inf and k_ext <= 2.0 * base)
+    return Delta2Result(holds=holds, k_hat=k_ext)
 
 
 class PhiConditionReport(NamedTuple):
@@ -300,7 +319,8 @@ def check_phi_conditions(phi: Homeomorphism,
     octaves on each side, and the pairs are taken one t at a time.
     Success returns the comparison pair as descriptor strings; a zero lower
     estimate or an unbounded upper one reports failure immediately, since
-    no power pair can work.
+    no power pair can work, and so does a sampled ratio that is not finite
+    and positive.
 
     ``phi_prime_cond`` is the relaxed variant that keeps the power-pair
     lower inequality but only asks for some finite majorant on the upper
@@ -322,19 +342,23 @@ def check_phi_conditions(phi: Homeomorphism,
     ext, m = _octave_extension(_CHECK_X_GRID, reach)
     vals = np.asarray(phi.forward(ext), dtype=float)
     den = vals[reach * m:reach * m + n]
-    lo_unit = np.minimum(t ** p, t ** q)
-    hi_unit = np.maximum(t ** p, t ** q)
-
+    ratio = np.empty(n)
     c_upper = c_lower = -math.inf
-    for j in range(t.size):
-        # t[j] = 2^(j/2 - reach): the check grid shifted by j half octaves.
-        start = j * (m // 2)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratio = vals[start:start + n] / den
-        if not bool(np.all(np.isfinite(ratio)) and np.all(ratio > 0.0)):
-            return PhiConditionReport(False, None, None, False, math.inf, p, q)
-        c_upper = max(c_upper, float(np.max(ratio / hi_unit[j])))
-        c_lower = max(c_lower, float(np.max(lo_unit[j] / ratio)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo_unit = np.minimum(t ** p, t ** q)
+        hi_unit = np.maximum(t ** p, t ** q)
+        for j in range(t.size):
+            # t[j] = 2^(j/2 - reach): the check grid shifted by j half
+            # octaves.  Correctly rounded division is monotone, so the
+            # largest ratio / hi and lo / ratio come from the extremes.
+            start = j * (m // 2)
+            np.divide(vals[start:start + n], den, out=ratio)
+            r_min, r_max = ratio.min(), ratio.max()
+            if not (r_min > 0.0 and r_max < math.inf):
+                return PhiConditionReport(False, None, None, False,
+                                          math.inf, p, q)
+            c_upper = max(c_upper, float(r_max / hi_unit[j]))
+            c_lower = max(c_lower, float(lo_unit[j] / r_min))
     constant = max(c_upper, c_lower, 1.0)
     ok = constant <= 1e6
     # Every sampled ratio is finite here, so is their tabulated supremum.

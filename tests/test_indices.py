@@ -29,6 +29,11 @@ BATTERY = {
 
 _ENTRIES = {d: make_catalog_entry(d) for d in CATALOG_DESCRIPTORS}
 _ESTIMATES = {}
+# Maps whose ratios leave the float range: expm1's numerators overflow, and
+# power:40's ratios are exactly 0 or inf at the deep shifts, with phi
+# underflowing and overflowing at the grid ends.
+_RANGE_EDGE_MAPS = {"expm1": Homeomorphism("expm1", np.expm1, np.log1p),
+                    "power:40": make_power(40.0)}
 
 
 def entry_for(descriptor):
@@ -84,12 +89,14 @@ class TestGrowthRatio:
         assert calls[1] == grid.size + 80 * m
         assert estimate == estimate_indices(base)
 
-    @pytest.mark.parametrize("descriptor", sorted(BATTERY))
+    @pytest.mark.parametrize("descriptor",
+                             sorted(BATTERY) + sorted(_RANGE_EDGE_MAPS))
     @pytest.mark.parametrize("side", ["map", "inverse"])
     def test_octave_shift_is_direct_evaluation(self, descriptor, side):
         # Shifting the dyadic grid by k octaves is x * 2^k bit for bit, so
-        # each sliced ratio is the ratio sampled directly at t = 2^k.
-        phi = entry_for(descriptor)
+        # each sliced ratio is the ratio sampled directly at t = 2^k, with
+        # the same lanes dropped.
+        phi = _RANGE_EDGE_MAPS.get(descriptor) or entry_for(descriptor)
         if side == "inverse":
             phi = inverse_homeomorphism(phi)
         grid = representable_x_grid(phi)
@@ -132,6 +139,37 @@ class TestIndexEstimates:
         est = estimate_indices(phi)
         assert math.isinf(est.beta_hat)
 
+    @pytest.mark.parametrize("r, t_lost", [(27.0, 40), (30.0, 36),
+                                           (40.0, 27)])
+    def test_underflowing_ratio_rejected(self, r, t_lost):
+        # M(2^-k) = 2^(-k r) underflows to 0 once k r > 1074; the fit
+        # needs its logarithm down to k = 40.
+        with pytest.raises(UnboundedInputError,
+                           match=re.escape("underflows to 0 at t = 2^-%d;"
+                                           % t_lost)):
+            estimate_indices(make_power(r))
+
+    def test_deepest_ratio_still_normal_fits(self):
+        est = estimate_indices(make_power(26.0))
+        assert est.alpha_hat == pytest.approx(26.0, rel=1e-12)
+
+    @pytest.mark.parametrize("descriptor", ["sum-powers:3,1.5", "xlog"])
+    @pytest.mark.parametrize("side", ["map", "inverse"])
+    def test_estimate_holds_no_table_of_shifts(self, descriptor, side):
+        # One quotient buffer serves all 58 shifts: about 2.3 MB at most,
+        # where a 58-row table of them would pass 4.8 MB.
+        phi = entry_for(descriptor)
+        if side == "inverse":
+            phi = inverse_homeomorphism(phi)
+        estimate_indices(phi)
+        tracemalloc.start()
+        try:
+            estimate_indices(phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_ordering_invariant_enforced(self):
         with pytest.raises(ValueError):
             IndexEstimate(alpha_hat=3.0, beta_hat=1.0,
@@ -154,6 +192,14 @@ class TestDoubling:
     def test_exponential_map_fails(self):
         phi = Homeomorphism("expm1", np.expm1, np.log1p)
         assert not check_delta2(phi).holds
+
+    @pytest.mark.parametrize("r", [37, 38, 40, 50, 300])
+    def test_steep_powers_double(self, r):
+        # (2x)^r overflows on the check grids; those lanes are dropped, not
+        # read as an infinite doubling constant.
+        res = check_delta2(make_power(float(r)))
+        assert res.holds
+        assert res.k_hat == pytest.approx(2.0 ** r, rel=1e-12)
 
     @pytest.mark.parametrize("descriptor", sorted(BATTERY))
     def test_doubling_matches_finite_upper_exponent(self, descriptor):
@@ -210,6 +256,17 @@ class TestPowerSandwich:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_non_finite_ratio_fails_at_once(self):
+        # power:40's ratios over the 2^+-40 shifts underflow to 0 and
+        # overflow to inf, so no constant is sought.
+        est = IndexEstimate(alpha_hat=40.0, beta_hat=40.0,
+                            t_small_range=(2.0 ** -40, 2.0 ** -12),
+                            t_large_range=(2.0 ** 12, 2.0 ** 40),
+                            fit_residual=0.0)
+        report = check_phi_conditions(make_power(40.0), estimate=est)
+        assert report == (False, None, None, False, math.inf,
+                          40.0 - 0.05, 40.0 + 0.05)
 
     def test_certified_constants_are_modest(self):
         for descriptor, target in BATTERY.items():

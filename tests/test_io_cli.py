@@ -417,6 +417,14 @@ class TestCli:
             "octaves the growth fit needs" % (entry, span)]
         assert not (tmp_path / "indices.json").exists()
 
+    def test_underflowing_ratio_exits_one(self, tmp_path, capsys):
+        # No RuntimeWarning from the log of a zero ratio reaches stderr.
+        assert main(["indices", "power:40", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the growth ratio of power:40 underflows to 0 at "
+            "t = 2^-27; the growth fit needs it positive down to t = 2^-40"]
+        assert not (tmp_path / "indices.json").exists()
+
     def test_infinite_s_max_exits_one(self, tmp_path, capsys):
         problem = write_file(tmp_path / "p.json", problem_payload())
         out = tmp_path / "out"
