@@ -131,13 +131,19 @@ def _sampled_ratio(phi: Homeomorphism, t: float, x: np.ndarray,
     return _ratio_sup(num, den)
 
 
+def _kept_lanes(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Mask of the lanes of num / den that ``growth_ratio`` keeps."""
+    with np.errstate(invalid="ignore"):
+        return (np.isfinite(num) & ((num == 0.0) | (num >= _TINY_NORMAL))
+                & np.isfinite(den) & (den >= _TINY_NORMAL))
+
+
 def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
     """Largest num / den over the lanes ``growth_ratio`` keeps."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        valid = (np.isfinite(num) & ((num == 0.0) | (num >= _TINY_NORMAL))
-                 & np.isfinite(den) & (den >= _TINY_NORMAL))
-        if not np.any(valid):
-            return math.inf
+    valid = _kept_lanes(num, den)
+    if not np.any(valid):
+        return math.inf
+    with np.errstate(over="ignore"):
         return float(np.max(num[valid] / den[valid]))
 
 
@@ -270,26 +276,45 @@ def check_delta2(phi: Homeomorphism) -> Delta2Result:
 
     The doubling constant is the supremum of phi(2x) / phi(x) over the lanes
     ``growth_ratio`` keeps (a numerator that overflows or is subnormal, or a
-    denominator that is not finite and normal, is dropped), read as inf when
-    it exceeds 1e100 as in ``estimate_indices``.  It is sampled on the
-    10,099 log-spaced x of the dyadic check grid over [1e-8, 1e8] (190 per
-    octave) and again on as many log-spaced x in [1e-9, 1e9]; the condition
-    is reported to hold when both samples are finite and the extension
-    grows the constant by less than a factor of two.  Exponential-type maps
-    blow past the saturation on both grids; power-log maps settle
-    immediately.
+    denominator that is not finite and normal, is dropped).  It is sampled
+    on the 10,099 log-spaced x of the dyadic check grid over [1e-8, 1e8]
+    (190 per octave) and again on as many log-spaced x in [1e-9, 1e9]; the
+    condition is reported to hold when both samples are finite and the
+    extension grows the constant by less than a factor of two.
+
+    Where the lane rule drops the lanes at an end of the wider grid, both
+    grids stop at the same x there and the extension tests nothing at that
+    end.  The constant over the wider grid's kept lanes must then also be
+    within a factor of two of its value over those lanes with the span
+    pulled in by two octaves at each such end; with no lane left there
+    the condition is not reported to hold.  That catches expm1 and
+    expm1(sqrt x), whose ratios climb to about 3e153 and 2e90 where
+    phi(2x) overflows, and exp(-1/sqrt x), whose ratio climbs to 9e89
+    where phi(x) leaves the normal range; a power map keeps its constant
+    2^r over the whole kept span, which is more than four octaves up to
+    r = 408.  ``k_hat`` is the constant on the wider grid, and inf when
+    the condition fails.
     """
     grid = _CHECK_X_GRID
     wide = np.geomspace(grid[0] / 10.0, grid[-1] * 10.0, grid.size)
-    sups = []
-    for x in (grid, wide):
-        with np.errstate(over="ignore"):
-            den = np.asarray(phi.forward(x), dtype=float)
-        sup = _sampled_ratio(phi, 2.0, x, den)
-        sups.append(sup if sup <= _SATURATION_RATIO else math.inf)
-    base, k_ext = sups
-    holds = bool(base < math.inf and k_ext <= 2.0 * base)
-    return Delta2Result(holds=holds, k_hat=k_ext)
+    with np.errstate(over="ignore"):
+        base = _sampled_ratio(phi, 2.0, grid,
+                              np.asarray(phi.forward(grid), dtype=float))
+        num = np.asarray(phi.forward(2.0 * wide), dtype=float)
+        den = np.asarray(phi.forward(wide), dtype=float)
+    kept = np.flatnonzero(_kept_lanes(num, den))
+    if kept.size == 0:
+        return Delta2Result(holds=False, k_hat=math.inf)
+    with np.errstate(over="ignore"):
+        ratio = num[kept] / den[kept]
+    k_ext = float(np.max(ratio))
+    xs = wide[kept]
+    lo = 4.0 * xs[0] if kept[0] > 0 else 0.0
+    hi = xs[-1] / 4.0 if kept[-1] < wide.size - 1 else math.inf
+    inner = ratio[(xs >= lo) & (xs <= hi)]
+    holds = bool(inner.size and base < math.inf and k_ext < math.inf
+                 and k_ext <= 2.0 * base and k_ext <= 2.0 * np.max(inner))
+    return Delta2Result(holds=holds, k_hat=k_ext if holds else math.inf)
 
 
 class PhiConditionReport(NamedTuple):

@@ -46,6 +46,16 @@ def estimate_for(descriptor):
     return _ESTIMATES[descriptor]
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes that tracemalloc sees while fn(*args, **kwargs) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGrowthRatio:
     def test_unit_scale_gives_one(self):
         assert growth_ratio(make_power(2.0), 1.0) == 1.0
@@ -162,13 +172,7 @@ class TestIndexEstimates:
         if side == "inverse":
             phi = inverse_homeomorphism(phi)
         estimate_indices(phi)
-        tracemalloc.start()
-        try:
-            estimate_indices(phi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert _traced_peak(estimate_indices, phi) < 4 * 2 ** 20
 
     def test_ordering_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -193,13 +197,32 @@ class TestDoubling:
         phi = Homeomorphism("expm1", np.expm1, np.log1p)
         assert not check_delta2(phi).holds
 
-    @pytest.mark.parametrize("r", [37, 38, 40, 50, 300])
+    @pytest.mark.parametrize("r", [37, 38, 40, 50, 300, 333, 408])
     def test_steep_powers_double(self, r):
         # (2x)^r overflows on the check grids; those lanes are dropped, not
-        # read as an infinite doubling constant.
+        # read as an infinite doubling constant, and 2^r stays 2^r over
+        # the span that is left, even past 1e100.
         res = check_delta2(make_power(float(r)))
         assert res.holds
         assert res.k_hat == pytest.approx(2.0 ** r, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [
+        inverse_homeomorphism(make_catalog_entry("logpow:2")),
+        Homeomorphism("expm1-sqrt", lambda z: np.expm1(np.sqrt(z)),
+                      lambda y: np.log1p(y) ** 2),
+        Homeomorphism("exp-inv-sqrt", lambda z: np.exp(-1.0 / np.sqrt(z)),
+                      lambda y: np.log(y) ** -2),
+    ], ids=lambda phi: phi.label)
+    def test_escape_cut_short_by_the_float_range_fails(self, phi):
+        # The ratio escapes below 1e100 before phi(2x) overflows (the first
+        # two) or phi(x) leaves the normal range (the last), at the same x
+        # on both check grids; it must still read as escaping.
+        assert check_delta2(phi) == (False, math.inf)
+
+    def test_power_with_too_short_a_span_is_not_certified(self):
+        # power:409 is finite and normal with (2x)^r finite over fewer
+        # than four octaves, which leaves no lane to test growth on.
+        assert check_delta2(make_power(409.0)) == (False, math.inf)
 
     @pytest.mark.parametrize("descriptor", sorted(BATTERY))
     def test_doubling_matches_finite_upper_exponent(self, descriptor):
@@ -247,14 +270,8 @@ class TestPowerSandwich:
     def test_phi_conditions_hold_no_full_table(self):
         # Taken row by row, the check never holds the 161 x 10^4 table of
         # ratios (63 MB when it did).
-        phi = entry_for("xlog")
-        est = estimate_for("xlog")
-        tracemalloc.start()
-        try:
-            check_phi_conditions(phi, estimate=est)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(check_phi_conditions, entry_for("xlog"),
+                            estimate=estimate_for("xlog"))
         assert peak < 8 * 2 ** 20
 
     def test_non_finite_ratio_fails_at_once(self):
