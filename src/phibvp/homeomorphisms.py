@@ -15,6 +15,7 @@ standard examples is exposed through short descriptor strings such as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -71,7 +72,7 @@ class Homeomorphism:
     known_alpha: Optional[float] = None
     known_beta: Optional[float] = None
     _odd_on_reals: bool = False
-    _ladder: Optional[tuple] = field(default=None, init=False, repr=False)
+    _ladders: dict = field(default_factory=dict, init=False, repr=False)
 
     def forward(self, y):
         return _evaluate(_odd(self._forward_pos, self._odd_on_reals), y)
@@ -82,15 +83,19 @@ class Homeomorphism:
         engine cannot reach."""
         return _evaluate(_odd_inverse_fn(self, "raise"), z)
 
-    def _probe_ladder(self):
-        """Positive decade probes and their images, filtered to the finite,
-        strictly increasing part usable for bracketing.
+    def _probe_ladder(self, per_decade=1):
+        """Probes 10^(k / per_decade) and their images, filtered to the
+        finite, strictly increasing part usable for bracketing.
 
-        Built on first use and kept on the instance, so repeated inversions
-        pay for it once and the cache dies with the map.
+        The decade ladder (``per_decade=1``) brackets the growth grids, the
+        inverse table and the forward root constant; only the numeric inverse
+        engine asks for the fine one.  Each is built on first use and kept on
+        the instance, so repeated inversions pay for it once and the cache
+        dies with the map.
         """
-        if self._ladder is None:
-            probes = 10.0 ** _PROBE_EXPONENTS
+        ladder = self._ladders.get(per_decade)
+        if ladder is None:
+            probes = _probes(per_decade)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 vals = np.asarray(self._forward_pos(probes), dtype=float)
             valid = np.isfinite(vals) & (vals > 0.0)
@@ -99,67 +104,86 @@ class Homeomorphism:
                 raise ConvergenceError(
                     "map produced no finite positive values on the probe ladder")
             keep = np.concatenate(([True], np.diff(pv) > 0.0))
-            object.__setattr__(self, "_ladder", (px[keep], pv[keep]))
-        return self._ladder
+            ladder = self._ladders[per_decade] = (px[keep], pv[keep])
+        return ladder
 
     def __repr__(self):
         return "Homeomorphism(%r)" % self.label
 
 
-_PROBE_EXPONENTS = np.arange(-320, 309)
+@functools.lru_cache(maxsize=None)
+def _probes(per_decade):
+    """The finite probes 10^(k / per_decade) from 1e-320 up, shared by every
+    map (read-only).  The decade probes end at 1e308, the fine ones at
+    10^308.25; every 16th fine probe equals its decade probe bit for bit."""
+    with np.errstate(over="ignore"):
+        probes = 10.0 ** (np.arange(-320 * per_decade, 309 * per_decade)
+                          / per_decade)
+    probes = probes[np.isfinite(probes)]
+    probes.flags.writeable = False
+    return probes
 
-# Secant steps tried before an entry falls back to the bracketed search.
-# From a decade bracket the log-log secant reaches the last bit in about six
-# steps on the catalog maps; entries near a flat point of the map (xlog just
-# below 1) converge only linearly and are the ones left to the fallback.
-_SECANT_STEPS = 10
+
+# Probes per decade of the ladder that brackets the inverse engine's targets.
+_FINE_PER_DECADE = 16
+
+# Secant sweeps every target takes.  From a bracket 1/16 of a decade wide the
+# log-log interpolation starts within 1e-3 of the root on the catalog maps
+# (typically 1e-5), and three steps reach the last bits except near a flat
+# point.
+_SECANT_STEPS = 3
+# Further sweeps for a root the certificate rejects while its last step still
+# moved it: the secant converges only linearly near a flat point of the map
+# (xlog just below 1), and these few sweeps are far cheaper than the fallback.
+_RETRY_STEPS = 8
 # Relative half-width of the x-side bracket that certifies a secant root.
 _BRACKET_REL = 1e-13
 # Residual a numeric root must meet: |phi(x) - y| <= _RESIDUAL_TOL (1 + y).
 _RESIDUAL_TOL = 1e-12
 
 
-def _secant_roots(forward_pos, targets, lo, hi, f_lo, f_hi):
+def _secant_start(targets, lo, hi, f_lo, f_hi):
+    """The log-log interpolation guess inside the bracket ``lo < root <= hi``
+    (images ``f_lo < target <= f_hi``), as the state ``_secant_roots``
+    steps: (x, lo, hi, g at the previous point, the last step in log x)."""
+    g_lo = np.log(f_lo / targets)
+    ds = np.log(hi / lo) * (g_lo / (g_lo - np.log(f_hi / targets)))
+    return lo * np.exp(ds), lo, hi, g_lo, ds
+
+
+def _secant_roots(forward_pos, targets, state, steps):
     """Safeguarded secant for ``forward_pos(x) = targets`` in log-log form.
 
-    Works on g = log(forward_pos(x) / target) against s = log x, starting
-    from log-log interpolation inside the bracket ``lo < root <= hi`` (with
-    images ``f_lo < target <= f_hi``).  Iterates move multiplicatively, so
-    they resolve x to its last bit at any magnitude; a step that leaves the
-    running bracket is replaced by the bracket's geometric midpoint.  Each
-    entry stops on its own (a sub-ulp step, or an image equal to the
-    previous one), so a root does not depend on which other targets share
-    the call.
+    Works on g = log(forward_pos(x) / target) against s = log x and takes
+    ``steps`` sweeps over the whole batch from ``state`` (see
+    ``_secant_start``); returns the state after them, its x the roots.
+    Iterates move multiplicatively, so they resolve x to its last bit at any
+    magnitude.  A step that leaves the running bracket is replaced by the
+    bracket's geometric midpoint, and an image equal to the previous one
+    (x on the map's rounding floor, or converged) gives a zero step, after
+    which the entry stays put.  Every entry runs elementwise, so a root does
+    not depend on which other targets share the call; once every step is
+    zero the remaining sweeps would change nothing and are skipped.
     """
-    root = np.empty_like(targets)
-    act = np.arange(targets.size)
-    g_prev = np.log(f_lo / targets)
-    ds = np.log(hi / lo) * (g_prev / (g_prev - np.log(f_hi / targets)))
-    x = lo * np.exp(ds)
-    for _ in range(_SECANT_STEPS):
+    x, lo, hi, g_prev, ds = state
+    for _ in range(steps):
         g = np.log(np.asarray(forward_pos(x), dtype=float) / targets)
-        lo = np.where(g < 0.0, x, lo)
+        below = g < 0.0
+        lo = np.where(below, x, lo)
         hi = np.where(g >= 0.0, x, hi)
         step = g * ds / (g_prev - g)
+        step[g == g_prev] = 0.0
         x_new = x * np.exp(step)
-        stray = ~((x_new >= lo) & (x_new <= hi))
-        if np.any(stray):
+        inside = (x_new >= lo) & (x_new <= hi)
+        if not inside.all():
+            stray = ~inside
             mid = lo[stray] * np.sqrt(hi[stray] / lo[stray])
             step[stray] = np.log(mid / x[stray])
             x_new[stray] = mid
-        # An image equal to the previous one means x sits on the map's
-        # rounding floor; a sub-ulp step (zero when g is) means converged.
-        flat = g == g_prev
-        done = flat | (np.abs(step) <= 4.5e-16)
-        root[act] = np.where(flat, x, x_new)
-        if np.all(done):
-            break
-        if np.any(done):
-            keep = ~done
-            act, targets, lo, hi = act[keep], targets[keep], lo[keep], hi[keep]
-            x_new, g, step = x_new[keep], g[keep], step[keep]
         x, g_prev, ds = x_new, g, step
-    return root
+        if not np.any(step):
+            break
+    return x, lo, hi, g_prev, ds
 
 
 def _certified(forward_pos, roots, targets):
@@ -248,21 +272,25 @@ def _invert_positive(phi, targets, out_of_range):
     """Vectorized inverse of the positive branch of ``phi``.
 
     ``targets`` must be a positive 1-D array.  Each target is bracketed
-    between two points of the probe ladder cached on ``phi``, guessed by
-    log-log interpolation and polished by a safeguarded log-log secant.  A
-    root is accepted only when ``|phi(x) - y| <= 1e-12 * (1 + y)`` and
-    ``phi(x (1 - 1e-13)) < y <= phi(x (1 + 1e-13))`` both hold; every
-    other entry (including targets below the ladder's first image) is
-    redone by ``_lane_root`` on phi(x) - y over its ladder bracket, whose
-    upper end, the smallest float found with phi(x) >= y, is the root;
+    between two points of the fine probe ladder (16 per decade) cached on
+    ``phi``, guessed by log-log interpolation and polished by three sweeps
+    of a safeguarded log-log secant over the whole batch.  A root is
+    accepted only when ``|phi(x) - y| <= 1e-12 * (1 + y)`` and
+    ``phi(x (1 - 1e-13)) < y <= phi(x (1 + 1e-13))`` both hold.  An entry
+    that fails while its last step still moved it takes up to
+    ``_RETRY_STEPS`` more sweeps and is certified again.  Every other entry
+    (including targets below the ladder's first image) is redone by
+    ``_lane_root`` on phi(x) - y over its ladder bracket, whose upper end,
+    the smallest float found with phi(x) >= y, is the root;
     ``ConvergenceError`` is raised if that misses the residual check.
-    Targets above every representable image either raise
+    Targets above every image on the ladder either raise
     ``UnboundedInputError`` (``out_of_range="raise"``) or come back as
-    ``inf`` (``"inf"``).
+    ``inf`` (``"inf"``).  Which path an entry takes depends on its target
+    alone, so a root does not depend on the other targets in the call.
     """
     forward_pos = phi._forward_pos
     targets = np.asarray(targets, dtype=float)
-    px, pv = phi._probe_ladder()
+    px, pv = phi._probe_ladder(_FINE_PER_DECADE)
 
     overflow = targets > pv[-1]
     if np.any(overflow):
@@ -273,26 +301,34 @@ def _invert_positive(phi, targets, out_of_range):
         targets = np.where(overflow, pv[-1], targets)
 
     idx = np.minimum(np.searchsorted(pv, targets, side="left"), px.size - 1)
-    lo = np.where(idx == 0, 0.0, px[np.maximum(idx - 1, 0)])
-    hi = px[idx]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         root = np.zeros_like(targets)
         fallback = idx == 0
         sec = np.flatnonzero(~fallback)
         if sec.size:
-            i = idx[sec]
-            root[sec] = _secant_roots(forward_pos, targets[sec], lo[sec],
-                                      hi[sec], pv[i - 1], pv[i])
-            fallback[sec] = ~_certified(forward_pos, root[sec], targets[sec])
+            y, i = targets[sec], idx[sec]
+            state = _secant_roots(forward_pos, y, _secant_start(
+                y, px[i - 1], px[i], pv[i - 1], pv[i]), _SECANT_STEPS)
+            ok = _certified(forward_pos, state[0], y)
+            again = np.flatnonzero(~ok & (state[4] != 0.0))
+            if again.size:
+                more = _secant_roots(forward_pos, y[again],
+                                     [part[again] for part in state],
+                                     _RETRY_STEPS)
+                state[0][again] = more[0]
+                ok[again] = _certified(forward_pos, more[0], y[again])
+            root[sec] = state[0]
+            fallback[sec] = ~ok
 
         bis = np.flatnonzero(fallback)
         if bis.size:
             b_y, i = targets[bis], idx[bis]
+            first = i == 0
             _, b_root, _, _ = _lane_root(
                 lambda x: np.asarray(forward_pos(x), dtype=float) - b_y,
-                lo[bis], hi[bis], np.where(i == 0, 0.0, pv[i - 1]) - b_y,
-                pv[i] - b_y)
+                np.where(first, 0.0, px[i - 1]), px[i],
+                np.where(first, 0.0, pv[i - 1]) - b_y, pv[i] - b_y)
             res = np.abs(np.asarray(forward_pos(b_root), dtype=float) - b_y)
             bad = (res > _RESIDUAL_TOL * (1.0 + b_y)) & ~overflow[bis]
             if np.any(bad):
@@ -344,15 +380,17 @@ def numeric_inverse(phi: Homeomorphism, y):
     closed-form inverse, which makes this the reference against one.
 
     Handles scalars and arrays and applies the odd extension by sign.  Each
-    magnitude is bracketed on a decade probe ladder (built once per map and
-    cached on it), guessed by log-log interpolation and polished by a few
-    log-log secant steps.  A root is accepted only when both
+    magnitude is bracketed on a probe ladder of 16 points per decade (built
+    once per map, the first time the engine inverts it, and cached on it),
+    guessed by log-log interpolation and polished by three log-log secant
+    sweeps.  A root is accepted only when both
     ``|phi(root) - y| <= 1e-12 * (1 + |y|)`` and the x-side bracket
-    ``phi(root (1 - 1e-13)) < |y| <= phi(root (1 + 1e-13))`` hold; any
-    other entry is redone by a bracketed search on its ladder bracket down
-    to adjacent floats, and ``ConvergenceError`` is raised if that still
-    misses the residual check.  A magnitude above the largest representable
-    image raises ``UnboundedInputError``.
+    ``phi(root (1 - 1e-13)) < |y| <= phi(root (1 + 1e-13))`` hold; a root
+    still moving gets a few more sweeps first, and any other entry is redone
+    by a bracketed search on its ladder bracket down to adjacent floats.
+    ``ConvergenceError`` is raised if that still misses the residual check.
+    A magnitude above the largest image on the ladder raises
+    ``UnboundedInputError``.
     """
     return _evaluate(_numeric_odd_inverse(phi, "raise"), y)
 

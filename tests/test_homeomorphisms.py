@@ -6,8 +6,11 @@ import pytest
 from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, UnboundedInputError,
                     inverse_homeomorphism, inverse_saturating,
                     make_catalog_entry, make_power, numeric_inverse)
-from phibvp.homeomorphisms import (_RESIDUAL_TOL, _InverseTable, _lane_root,
-                                   _odd, _odd_inverse_fn)
+from phibvp import homeomorphisms
+from phibvp.homeomorphisms import (_FINE_PER_DECADE, _RESIDUAL_TOL,
+                                   _RETRY_STEPS, _InverseTable, _lane_root,
+                                   _odd, _odd_inverse_fn, _probes,
+                                   _secant_roots)
 
 ALL_ENTRIES = [make_catalog_entry(d) for d in CATALOG_DESCRIPTORS]
 
@@ -169,8 +172,9 @@ class TestInversion:
         assert numeric_inverse(phi, phi.forward(y)) == pytest.approx(y, rel=1e-8)
 
     def test_numeric_inverse_forward_call_budget(self):
-        # Only the first call builds the probe ladder; after it a call costs
-        # a few secant sweeps and one certification, not 64 bisection steps.
+        # Only the first call builds the fine probe ladder, once per map and
+        # not the decade one; after it a call costs three secant sweeps and
+        # one certification.
         base = make_catalog_entry("sum-powers:3,1.5")
         calls = []
 
@@ -179,13 +183,16 @@ class TestInversion:
             return base._forward_pos(y)
 
         phi = Homeomorphism("counted", counting)
+        ladder_size = _probes(_FINE_PER_DECADE).size
         z = np.geomspace(1e-6, 1e6, 1000)
         numeric_inverse(phi, z)
-        warm_up = len(calls)
-        calls.clear()
-        roots = numeric_inverse(phi, z)
-        assert len(calls) < warm_up
-        assert len(calls) <= 12
+        assert calls.count(ladder_size) == 1
+        assert list(phi._ladders) == [_FINE_PER_DECADE]
+        for _ in range(2):
+            calls.clear()
+            roots = numeric_inverse(phi, z)
+            assert len(calls) <= 4
+            assert ladder_size not in calls
         assert np.allclose(base.forward(roots), z, rtol=1e-12)
 
     def test_nan_target_costs_no_forward_calls(self):
@@ -364,6 +371,88 @@ def test_plateau_targets_get_the_smallest_reaching_float(descriptor):
     x = numeric_inverse(phi, y)
     assert np.all(phi.forward(x) >= y)
     assert np.all(phi.forward(np.nextafter(x, 0.0)) < y)
+
+
+def test_roots_do_not_depend_on_the_batch(monkeypatch):
+    # Shooting lanes rely on an inverse whose root for a target is the same
+    # whatever else shares the call.  Each root of one call on 200 mixed
+    # targets equals that target inverted alone, bit for bit, on the four
+    # numeric catalog maps.  The subnormal targets go to the fallback and
+    # xlog's targets near 1 to the further sweeps.  The numeric inverse of
+    # inverse(sum-powers) sees rounding noise in its own forward map, which
+    # sends secant steps out of their bracket, so the midpoint safeguard runs.
+    ran = {"fallback": 0, "retry": 0}
+    lane_root, secant = homeomorphisms._lane_root, homeomorphisms._secant_roots
+
+    def counted_lane_root(*args):
+        ran["fallback"] += 1
+        return lane_root(*args)
+
+    def counted_secant(forward_pos, targets, state, steps):
+        ran["retry"] += steps == _RETRY_STEPS
+        return secant(forward_pos, targets, state, steps)
+
+    monkeypatch.setattr(homeomorphisms, "_lane_root", counted_lane_root)
+    monkeypatch.setattr(homeomorphisms, "_secant_roots", counted_secant)
+    rng = np.random.default_rng(20)
+    near_one = 1.0 + np.concatenate((np.geomspace(1e-9, 1e-3, 24),
+                                     -np.geomspace(1e-9, 1e-3, 24),
+                                     [1e-6, -1e-6]))
+    y = rng.permutation(np.concatenate((
+        10.0 ** rng.uniform(-300.0, 300.0, 120),
+        np.geomspace(1e-321, 1e-315, 30),
+        make_catalog_entry("xlog").forward(near_one))))
+    assert y.size == 200
+    cases = [(make_catalog_entry(d), y) for d in _NUMERIC_CATALOG]
+    cases.append((inverse_homeomorphism(make_catalog_entry("sum-powers:3,1.5")),
+                  10.0 ** rng.uniform(-310.0, -296.0, 40)))
+    for phi, targets in cases:
+        batch = numeric_inverse(phi, targets)
+        alone = np.array([numeric_inverse(phi, v) for v in targets])
+        assert np.array_equal(batch, alone), phi.label
+    assert ran["fallback"] > 0 and ran["retry"] > 0
+
+
+def test_secant_step_out_of_bracket_takes_the_midpoint():
+    # A log-log secant step that leaves the running bracket is replaced by
+    # the bracket's geometric midpoint; an unchanged image gives a zero step.
+    phi = make_catalog_entry("sum-powers:3,1.5")
+    y = np.array([3.0, 3.0])
+    x = np.array([1.0, 1.0])
+    g = np.log(phi.forward(x) / y)
+    # Entry 0's secant through the two images steps far past hi; entry 1's
+    # previous image equals its current one.
+    state = (x, np.array([0.5, 0.5]), np.array([4.0, 4.0]),
+             np.array([g[0] - 1e-3, g[1]]), np.array([1.0, 1.0]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out, lo, hi, _, step = _secant_roots(phi._forward_pos, y, state, 1)
+    assert (lo[0], hi[0]) == (1.0, 4.0)
+    assert out[0] == 2.0 and step[0] == math.log(2.0)
+    assert out[1] == 1.0 and step[1] == 0.0
+
+
+def test_decade_ladder_does_not_move():
+    # The decade ladder brackets the growth grids, the inverse table and the
+    # comparison constants; it is built exactly as before the fine ladder
+    # was added, for every catalog map and its inverse map, and every 16th
+    # fine probe is its decade probe.
+    def reference(forward_pos):
+        probes = 10.0 ** np.arange(-320, 309)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.asarray(forward_pos(probes), dtype=float)
+        valid = np.isfinite(vals) & (vals > 0.0)
+        px, pv = probes[valid], vals[valid]
+        keep = np.concatenate(([True], np.diff(pv) > 0.0))
+        return px[keep], pv[keep]
+
+    assert np.array_equal(_probes(_FINE_PER_DECADE)[::_FINE_PER_DECADE],
+                          10.0 ** np.arange(-320, 309))
+    assert np.array_equal(_probes(1), 10.0 ** np.arange(-320, 309))
+    for phi in ALL_ENTRIES:
+        for m in (phi, inverse_homeomorphism(phi)):
+            fresh = Homeomorphism(m.label, m._forward_pos, m._inverse_pos)
+            got, want = fresh._probe_ladder(), reference(m._forward_pos)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), m.label
 
 
 def _bisection_steps(fn, lo, hi):
