@@ -168,15 +168,13 @@ def _secant_roots(forward_pos, targets, state, steps):
     x, lo, hi, g_prev, ds = state
     for _ in range(steps):
         g = np.log(np.asarray(forward_pos(x), dtype=float) / targets)
-        below = g < 0.0
-        lo = np.where(below, x, lo)
+        lo = np.where(g < 0.0, x, lo)
         hi = np.where(g >= 0.0, x, hi)
         step = g * ds / (g_prev - g)
         step[g == g_prev] = 0.0
         x_new = x * np.exp(step)
-        inside = (x_new >= lo) & (x_new <= hi)
-        if not inside.all():
-            stray = ~inside
+        stray = ~((x_new >= lo) & (x_new <= hi))
+        if np.any(stray):
             mid = lo[stray] * np.sqrt(hi[stray] / lo[stray])
             step[stray] = np.log(mid / x[stray])
             x_new[stray] = mid
