@@ -15,19 +15,23 @@ comparison constant c with
 
     min of the two one-sided integrals of phi^{-1}(M * mass) >= c phi^{-1}(cM)
 
-at every M of a grid and of its tenfold refinement, through an inverse
-table below phi^{-1}.  The largest such c on each M comes from a
-monotone forward equation, with no inverse evaluations; c is the
-smallest of them, shaved by 0.999 and checked once.  A bound chain runs
-several of these on one forcing, and each of them reads one certificate
-per forcing, kept in a one-entry memo: the support data, the distance to
-the boundary, the refined cumulative of h (shared with that of max(h, 0)
-when h >= 0), the one-sided partition around the support midpoint, the
-exact bracket (the smaller one-sided integral of phi^{-1} of the mass),
-the inverse table with the left-hand sides by M grid, and the last
-solution.  Each piece is built on first use.  The memo holds one map and
-one forcing at a time (per thread), and every result equals a fresh
-computation bit for bit.
+at every M of a grid and of its tenfold refinement.  The left-hand side
+is a lower Riemann sum at the grid nodes and the support midpoint, through
+an inverse table below phi^{-1}: the integrand falls toward the midpoint
+from a and rises from it toward b, so the value at each cell's end nearer
+the midpoint is the cell's smallest, and the sum is at most the integral.
+The largest such c on each M comes from a monotone forward equation, with
+no inverse evaluations; c is the smallest of them, shaved by 0.999 and
+checked once.  A bound chain runs several of these on one forcing, and
+each of them reads one certificate per forcing, kept in a one-entry memo:
+the support data, the distance to the boundary, the refined cumulative of
+h (shared with that of max(h, 0) when h >= 0), the one-sided partition
+around the support midpoint, the exact bracket (the smaller one-sided
+integral of phi^{-1} of the mass), the cells of the lower sum, the inverse
+table with the left-hand sides by M grid, and the last solution.  Each
+piece is built on first use.  The memo holds one map and one forcing at a
+time (per thread), and every result equals a fresh computation bit for
+bit.
 """
 
 from __future__ import annotations
@@ -286,12 +290,22 @@ class _Certificate:
     ``support`` (support data; raises on a signed forcing), ``delta`` (the
     distance to the boundary), ``cumulative`` (the refined cumulative of h),
     ``clamped`` (that of max(h, 0), the same object when h has no negative
-    entry), ``partition`` (trapezoid weights and mass differences
-    ``(wl, dl, wr, dr)`` either side of the support midpoint), ``bracket``
-    (min(wl @ phi^{-1}(dl), wr @ phi^{-1}(dr)) through ``phi.inverse``), the
-    inverse table for one ceiling with the left-hand sides it gave by M grid
-    (a new ceiling replaces both), and ``solved``, the ``(tol, u)`` of the
-    last ``solve_linear``.
+    entry), ``split`` (that cumulative split at the support midpoint
+    theta_bar), ``partition`` (trapezoid weights and mass differences
+    ``(wl, dl, wr, dr)`` on the fine points either side of theta_bar),
+    ``bracket`` (min(wl @ phi^{-1}(dl), wr @ phi^{-1}(dr)) through
+    ``phi.inverse``), ``cells`` (the lower sum's cells, cut by the grid nodes
+    and theta_bar), the inverse table for one ceiling with the left-hand
+    sides it gave by M grid (a new ceiling replaces both), and ``solved``,
+    the ``(tol, u)`` of the last ``solve_linear``.
+
+    The left-hand side on a grid of M is min(T(M dl) @ wl, T(M dr) @ wr)
+    over the cells, T the table: one table call per side for the whole
+    grid.  On [a, theta_bar] the mass difference H(theta_bar) - H(x) falls,
+    on [theta_bar, b] H(x) - H(theta_bar) rises, and T is nondecreasing and
+    below phi^{-1}.  So the value at each cell's end nearer theta_bar is
+    the least on the cell, and each side's sum is at most its integral of
+    phi^{-1}(M * mass).
     """
 
     def __init__(self, phi: Homeomorphism, h: GridFunction, key: tuple):
@@ -322,9 +336,13 @@ class _Certificate:
         return _RefinedCumulative(self.h.grid, np.maximum(self.h.values, 0.0))
 
     @cached_property
+    def split(self):
+        """The clamped cumulative split at the support midpoint theta_bar."""
+        return self.clamped.split(self.support.theta_bar)
+
+    @cached_property
     def partition(self):
-        H_mid, (pts_l, H_l), (pts_r, H_r) = self.clamped.split(
-            self.support.theta_bar)
+        H_mid, (pts_l, H_l), (pts_r, H_r) = self.split
         return (_trapezoid_weights(pts_l), np.maximum(H_mid - H_l, 0.0),
                 _trapezoid_weights(pts_r), np.maximum(H_r - H_mid, 0.0))
 
@@ -334,21 +352,34 @@ class _Certificate:
         return min(float(wl @ self.phi.inverse(dl)),
                    float(wr @ self.phi.inverse(dr)))
 
+    @cached_property
+    def cells(self):
+        """The cells that the grid nodes and theta_bar cut either side of
+        theta_bar: ``(wl, dl, wr, dr, reach)``, each cell's width and the
+        mass difference at its end nearer theta_bar, and the largest mass
+        difference, the one at a or b."""
+        H_mid = self.split[0]
+        x, H = self.clamped.grid.nodes, self.clamped.node_H
+        theta = self.support.theta_bar
+        k = int(np.searchsorted(x, theta, side="left"))
+        left, right = np.append(x[:k], theta), np.concatenate(([theta], x[k:]))
+        dl = np.maximum(H_mid - np.append(H[:k], H_mid), 0.0)
+        dr = np.maximum(np.concatenate(([H_mid], H[k:])) - H_mid, 0.0)
+        return (np.diff(left), dl[1:], np.diff(right), dr[:-1],
+                max(float(dl[0]), float(dr[-1])))
+
     def lhs(self, M: np.ndarray, ceiling: float) -> np.ndarray:
-        """The comparison LHS on the grid M, with the table up to ``ceiling``."""
-        wl, dl, wr, dr = self.partition
+        """The comparison LHS on the grid M, with the table up to ``ceiling``:
+        one table call per side for the whole grid."""
+        wl, dl, wr, dr, reach = self.cells
         if ceiling != self.ceiling:
-            mass_scale = max(float(np.max(dl)), float(np.max(dr)))
-            self.table = _InverseTable(self.phi, ceiling * mass_scale)
+            self.table = _InverseTable(self.phi, ceiling * reach)
             self.ceiling = ceiling
             self.lhs_by_grid = {}
         key = M.tobytes()
         if key not in self.lhs_by_grid:
-            out = np.empty(M.size)
-            for i, m in enumerate(M):
-                out[i] = min(float(wl @ self.table(m * dl)),
-                             float(wr @ self.table(m * dr)))
-            self.lhs_by_grid[key] = out
+            self.lhs_by_grid[key] = np.minimum(self.table(M[:, None] * dl) @ wl,
+                                               self.table(M[:, None] * dr) @ wr)
         return self.lhs_by_grid[key]
 
 
@@ -436,8 +467,11 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
     LHS(M) >= c * phi^{-1}(c M) on the grid and its tenfold refinement.
 
     LHS(M) is the smaller of the two one-sided integrals of
-    phi^{-1}(M * accumulated mass of h) around the support midpoint, through
-    an inverse table below phi^{-1}.  The largest c on each M of both grids
+    phi^{-1}(M * accumulated mass of h) around the support midpoint, taken
+    as a lower Riemann sum at the grid nodes and the midpoint through an
+    inverse table below phi^{-1}: each cell takes the integrand at its end
+    nearer the midpoint, where the monotone integrand is least, so LHS(M)
+    never exceeds the integral.  The largest c on each M of both grids
     solves a monotone forward equation (see ``_forward_root_constant``); c
     is the smallest of them, clamped into [1e-12, 1e6] and shaved by 0.999,
     which leaves room for rounding since c phi^{-1}(c M) increases with c,

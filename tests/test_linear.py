@@ -1,3 +1,5 @@
+import bisect
+import math
 import sys
 import threading
 
@@ -10,7 +12,8 @@ from phibvp import (CATALOG_DESCRIPTORS, ConvergenceError, Grid,
                     envelope_bounds, estimate_comparison_constant,
                     inverse_saturating, make_catalog_entry, make_power,
                     monotone_check, solve_linear, sup_norm,
-                    sup_norm_lower_bound, verify_comparison_constant)
+                    sup_norm_lower_bound, support_data,
+                    verify_comparison_constant)
 from phibvp import homeomorphisms
 from phibvp import linear
 from phibvp.linear import (_certificate, _Certificate, _forward_root_constant,
@@ -301,6 +304,7 @@ class TestComparisonConstant:
 
 
 _FINE_M = np.geomspace(1e-4, 1e4, 331)
+_NUMERIC_MAPS = ("sum-powers:3,1.5", "ratio:2,0.5", "xlog", "x-log1p")
 
 
 def _fresh(descriptor):
@@ -344,10 +348,10 @@ def _bisected_comparison_constant(phi, h):
 
 def _exact_lhs(phi, h, M):
     """The comparison LHS with the certified inverse in place of the table,
-    on the same partitions."""
-    wl, dl, wr, dr = _outside_memo(phi, h).partition
-    return np.array([min(wl @ phi.inverse(m * dl), wr @ phi.inverse(m * dr))
-                     for m in M])
+    on the same lower sum at the cell nodes."""
+    wl, dl, wr, dr, _ = _outside_memo(phi, h).cells
+    return np.minimum(phi.inverse(M[:, None] * dl) @ wl,
+                      phi.inverse(M[:, None] * dr) @ wr)
 
 
 def _chain(phi, h):
@@ -540,11 +544,102 @@ class TestComparisonCertificate:
         # for its check on both grids; the verification takes the fourth.
         assert per_case and max(per_case) <= 4
 
-    def test_table_lhs_below_exact_lhs_for_xlog(self):
+    def test_lhs_makes_one_table_call_per_side(self, monkeypatch):
+        # The per-M loop made two table calls for each of the 331 M values;
+        # the fine partition would pass about 16 times the points.
+        descriptor, _, h = next(case for case in self.CASES
+                                if case[0] == "sum-powers:3,1.5")
+        sizes = []
+        call = homeomorphisms._InverseTable.__call__
+
+        def counted(self, z):
+            sizes.append(np.size(z))
+            return call(self, z)
+
+        monkeypatch.setattr(homeomorphisms._InverseTable, "__call__", counted)
+        _outside_memo(_fresh(descriptor), h).lhs(_FINE_M, float(_FINE_M[-1]))
+        assert len(sizes) == 2
+        assert max(sizes) <= _FINE_M.size * (h.grid.count + 1)
+
+    def test_table_lhs_below_exact_lhs_on_numeric_maps(self):
         M = np.geomspace(1e-4, 1e4, 33)
-        cases = [case for case in corpus(seed=0, count=200)
-                 if case[0] == "xlog"]
-        assert len(cases) == 25
-        for _, phi, h in cases:
-            table_lhs = _outside_memo(phi, h).lhs(M, M[-1])
-            assert np.all(table_lhs <= _exact_lhs(phi, h, M))
+        counts = dict.fromkeys(_NUMERIC_MAPS, 0)
+        for descriptor, phi, h in corpus(seed=0, count=200):
+            if descriptor in counts:
+                counts[descriptor] += 1
+                table_lhs = _outside_memo(phi, h).lhs(M, M[-1])
+                assert np.all(table_lhs <= _exact_lhs(phi, h, M))
+        assert counts == {"sum-powers:3,1.5": 26, "ratio:2,0.5": 26,
+                          "xlog": 25, "x-log1p": 21}
+
+
+class TestLowerSumOracle:
+    """The comparison LHS against adaptive quadrature of the exact
+    one-sided integrals of phi^{-1}(M * mass), which shares no code with
+    the package: the cumulative of max(h, 0) in closed form, a quadratic on
+    each cell, and phi^{-1} in closed form or by Brent's method on phi.
+    The support midpoint is an input to both."""
+
+    # 20 cases; Brent's method makes xlog's the slow ones.
+    COUNTS = {"power:2": 8, "arcsinh": 8, "xlog": 4}
+
+    @staticmethod
+    def _cumulative(h):
+        x = [float(t) for t in h.grid.nodes]
+        v = [max(float(t), 0.0) for t in h.values]
+        H = [0.0]
+        for j in range(len(x) - 1):
+            H.append(H[-1] + 0.5 * (x[j + 1] - x[j]) * (v[j] + v[j + 1]))
+
+        def at(t):
+            j = min(max(bisect.bisect_right(x, t) - 1, 0), len(x) - 2)
+            s, slope = t - x[j], (v[j + 1] - v[j]) / (x[j + 1] - x[j])
+            return H[j] + v[j] * s + 0.5 * slope * s * s
+
+        return at
+
+    def test_lhs_is_a_tight_lower_bound(self):
+        pytest.importorskip("scipy")
+        from scipy.integrate import quad
+        from scipy.optimize import brentq
+
+        def xlog_inverse(z):
+            # phi(t) >= t, so the root lies in (0, max(z, 1)].
+            if z == 0.0:
+                return 0.0
+            return brentq(lambda t: t * (abs(math.log(t)) + 1.0) - z,
+                          5e-324, max(z, 1.0), xtol=1e-300)
+
+        inverses = {"power:2": math.sqrt,
+                    "arcsinh": lambda z: math.sinh(z) if z < 710.0 else math.inf,
+                    "xlog": xlog_inverse}
+        cases, taken = [], dict.fromkeys(self.COUNTS, 0)
+        for descriptor, phi, h in corpus(seed=0, count=200):
+            if taken.get(descriptor, 0) < self.COUNTS.get(descriptor, 0):
+                taken[descriptor] += 1
+                cases.append((descriptor, phi, h))
+        assert taken == self.COUNTS
+        M = np.geomspace(1e-4, 1e4, 33)
+        compared = 0
+        for descriptor, phi, h in cases:
+            inverse, H = inverses[descriptor], self._cumulative(h)
+            theta = support_data(h).theta_bar
+            H_mid = H(theta)
+            lhs = _outside_memo(phi, h).lhs(M, M[-1])
+            for m, value in zip(M, lhs):
+                if value == math.inf:
+                    # sinh(M * mass) past the float range, in both.
+                    continue
+                left = quad(lambda t: inverse(m * max(H_mid - H(t), 0.0)),
+                            h.grid.a, theta, limit=200, epsabs=0.0, epsrel=1e-6)
+                right = quad(lambda t: inverse(m * max(H(t) - H_mid, 0.0)),
+                             theta, h.grid.b, limit=200, epsabs=0.0, epsrel=1e-6)
+                oracle = min(left[0], right[0])
+                assert value <= oracle
+                # Where phi^{-1} grows exponentially, as sinh at large M, a
+                # cell of width w changes the integrand by a factor of about
+                # exp(M h w), and the lower sum falls short by about as much.
+                if descriptor != "arcsinh" or m <= 10.0:
+                    assert value >= 0.97 * oracle
+                compared += 1
+        assert compared >= 0.9 * len(M) * len(cases)
