@@ -16,10 +16,12 @@ comparison constant c with
     min of the two one-sided integrals of phi^{-1}(M * mass) >= c phi^{-1}(cM)
 
 at every M of a grid and of its tenfold refinement.  The left-hand side
-is a lower Riemann sum at the grid nodes and the support midpoint, through
-an inverse table below phi^{-1}: the integrand falls toward the midpoint
-from a and rises from it toward b, so the value at each cell's end nearer
-the midpoint is the cell's smallest, and the sum is at most the integral.
+is a lower Riemann sum through an inverse table below phi^{-1}, on cells
+cut at the grid nodes and the support midpoint, or finer where that
+leaves a side fewer than 128 cells: the integrand falls toward the
+midpoint from a and rises from it toward b, so the value at each cell's
+end nearer the midpoint is the cell's smallest, and the sum is at most
+the integral.
 The largest such c on each M comes from a monotone forward equation, with
 no inverse evaluations; c is the smallest of them, shaved by 0.999 and
 checked once.  A bound chain runs several of these on one forcing, and
@@ -53,6 +55,8 @@ from .homeomorphisms import (Homeomorphism, _InverseTable, _lane_root,
 
 DEFAULT_TOL = 1e-10
 _REFINE = 16
+# Fewest cells on each side of the comparison's lower sum.
+_LOWER_SUM_CELLS = 128
 # Absolute slack ``monotone_check`` allows between the two solutions.
 _MONOTONE_SLACK = 1e-8
 
@@ -110,13 +114,13 @@ class _RefinedCumulative:
         self.fine_x = np.concatenate(([x[0]], cell_x[:, 1:].ravel()))
         self.fine_H = np.concatenate(([0.0], cell_H[:, 1:].ravel()))
 
-    def value_at(self, x: float) -> float:
-        """Exact cumulative at an arbitrary point of [a, b]."""
+    def value_at(self, x):
+        """Exact cumulative at a point or an array of points of [a, b]."""
         nodes = self.grid.nodes
-        j = int(np.clip(np.searchsorted(nodes, x, side="right") - 1, 0,
-                        nodes.size - 2))
+        j = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0,
+                    nodes.size - 2)
         s = x - nodes[j]
-        return float(self.node_H[j] + self.values[j] * s + 0.5 * self.slope[j] * s * s)
+        return self.node_H[j] + self.values[j] * s + 0.5 * self.slope[j] * s * s
 
     def integrate_cells(self, g_cells: np.ndarray) -> np.ndarray:
         """Composite trapezoid of fine samples, one integral per cell."""
@@ -131,7 +135,7 @@ class _RefinedCumulative:
         k = int(np.searchsorted(x, x_mid, side="left"))
         if k < x.size and x[k] == x_mid:
             return H[k], (x[:k + 1], H[:k + 1]), (x[k:], H[k:])
-        H_mid = self.value_at(x_mid)
+        H_mid = float(self.value_at(x_mid))
         return (H_mid, (np.append(x[:k], x_mid), np.append(H[:k], H_mid)),
                 (np.concatenate(([x_mid], x[k:])),
                  np.concatenate(([H_mid], H[k:]))))
@@ -282,6 +286,39 @@ def cone_lower_bound(phi: Homeomorphism, h: GridFunction,
     return _in_cone(u, cert.delta, cert.support.theta_under, slack)
 
 
+def _lower_sum_cells(rc, pts, H, H_mid, sign):
+    """The cells of a one-sided lower sum: ``(widths, d, reach)``, each
+    cell's width and its mass difference d = max(sign * (H - H_mid), 0) at
+    its end nearer theta_bar, and d at the boundary, the largest.
+
+    ``pts`` and ``H`` are ``rc``'s split points and cumulative on one side,
+    from the boundary to theta_bar, so that d falls along them; ``sign`` is
+    -1 on [a, theta_bar] and +1 on [theta_bar, b].  The cells are cut at
+    every ``step``-th split point from the boundary and at theta_bar:
+    ``step`` is ``_REFINE``, which cuts at the grid nodes, halved while the
+    side would have fewer than ``_LOWER_SUM_CELLS`` cells.  A side with
+    fewer split points than that is cut into ``_LOWER_SUM_CELLS`` equal
+    cells, with H from the exact cumulative.  A side's sum falls short of
+    its integral by at most its widest cell times its largest value, so a
+    coarse grid or a short side loses no fixed share of the integral; the
+    cell that ends at theta_bar counts 0.
+    """
+    m = pts.size - 1
+    if m < _LOWER_SUM_CELLS:
+        ends = H[[0, -1]]
+        pts = np.linspace(pts[0], pts[-1], _LOWER_SUM_CELLS + 1)
+        H = rc.value_at(pts)
+        H[[0, -1]] = ends
+    else:
+        step = _REFINE
+        while m < _LOWER_SUM_CELLS * step:
+            step //= 2
+        keep = np.append(np.arange(0, m, step), m)
+        pts, H = pts[keep], H[keep]
+    d = np.maximum(sign * (H - H_mid), 0.0)
+    return np.abs(np.diff(pts)), d[1:], float(d[0])
+
+
 class _Certificate:
     """What the bound chain derives from one map and one forcing.
 
@@ -294,8 +331,8 @@ class _Certificate:
     theta_bar), ``partition`` (trapezoid weights and mass differences
     ``(wl, dl, wr, dr)`` on the fine points either side of theta_bar),
     ``bracket`` (min(wl @ phi^{-1}(dl), wr @ phi^{-1}(dr)) through
-    ``phi.inverse``), ``cells`` (the lower sum's cells, cut by the grid nodes
-    and theta_bar), the inverse table for one ceiling with the left-hand
+    ``phi.inverse``), ``cells`` (the lower sum's cells either side of
+    theta_bar, see ``_lower_sum_cells``), the inverse table for one ceiling with the left-hand
     sides it gave by M grid (a new ceiling replaces both), and ``solved``,
     the ``(tol, u)`` of the last ``solve_linear``.
 
@@ -354,19 +391,15 @@ class _Certificate:
 
     @cached_property
     def cells(self):
-        """The cells that the grid nodes and theta_bar cut either side of
-        theta_bar: ``(wl, dl, wr, dr, reach)``, each cell's width and the
-        mass difference at its end nearer theta_bar, and the largest mass
-        difference, the one at a or b."""
-        H_mid = self.split[0]
-        x, H = self.clamped.grid.nodes, self.clamped.node_H
-        theta = self.support.theta_bar
-        k = int(np.searchsorted(x, theta, side="left"))
-        left, right = np.append(x[:k], theta), np.concatenate(([theta], x[k:]))
-        dl = np.maximum(H_mid - np.append(H[:k], H_mid), 0.0)
-        dr = np.maximum(np.concatenate(([H_mid], H[k:])) - H_mid, 0.0)
-        return (np.diff(left), dl[1:], np.diff(right), dr[:-1],
-                max(float(dl[0]), float(dr[-1])))
+        """The lower sum's cells either side of theta_bar, from ``split``:
+        ``(wl, dl, wr, dr, reach)``, each cell's width and the mass
+        difference at its end nearer theta_bar, and the largest mass
+        difference, the one at a or b (see ``_lower_sum_cells``)."""
+        H_mid, (pts_l, H_l), (pts_r, H_r) = self.split
+        wl, dl, reach_l = _lower_sum_cells(self.clamped, pts_l, H_l, H_mid, -1.0)
+        wr, dr, reach_r = _lower_sum_cells(self.clamped, pts_r[::-1],
+                                           H_r[::-1], H_mid, 1.0)
+        return wl, dl, wr, dr, max(reach_l, reach_r)
 
     def lhs(self, M: np.ndarray, ceiling: float) -> np.ndarray:
         """The comparison LHS on the grid M, with the table up to ``ceiling``:
@@ -468,8 +501,9 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
 
     LHS(M) is the smaller of the two one-sided integrals of
     phi^{-1}(M * accumulated mass of h) around the support midpoint, taken
-    as a lower Riemann sum at the grid nodes and the midpoint through an
-    inverse table below phi^{-1}: each cell takes the integrand at its end
+    as a lower Riemann sum through an inverse table below phi^{-1}, with
+    at least 128 cells on each side, cut at the grid nodes and the midpoint
+    where the grid is that fine: each cell takes the integrand at its end
     nearer the midpoint, where the monotone integrand is least, so LHS(M)
     never exceeds the integral.  The largest c on each M of both grids
     solves a monotone forward equation (see ``_forward_root_constant``); c

@@ -253,6 +253,10 @@ class TestOrderAndEnvelopes:
         assert 0.0 < lb <= sup_norm(profile.u) + 1e-10
 
 
+# A tent on three nodes and a forcing at the left edge on five.
+_COARSE_FORCINGS = {"tent-3": [0.0, 1.0, 0.0], "edge-5": [1.0, 0.0, 0.0, 0.0, 0.0]}
+
+
 class TestComparisonConstant:
     # Identity phi with unit forcing admits the closed-form optimum
     # c = (1 / 2) ** (3 / 2): the one-sided integral is M / 8 and the
@@ -302,6 +306,21 @@ class TestComparisonConstant:
             estimate_comparison_constant(make_power(1.0), constant_one(65),
                                          M_grid=[0.0, 1.0])
 
+    @pytest.mark.parametrize("descriptor", CATALOG_DESCRIPTORS)
+    @pytest.mark.parametrize("shape", _COARSE_FORCINGS)
+    def test_coarse_grid_keeps_the_constant(self, descriptor, shape):
+        # The forcing is piecewise linear on the coarse grid, so the same
+        # function on 257 nodes has the same one-sided integrals.  A lower
+        # sum with one cell per grid cell counted 0 on the tent's sides.
+        values = np.array(_COARSE_FORCINGS[shape])
+        coarse = Grid.uniform(0.0, 1.0, values.size)
+        fine = Grid.uniform(0.0, 1.0, 257)
+        phi = make_catalog_entry(descriptor)
+        c = estimate_comparison_constant(phi, GridFunction(coarse, values))
+        c_fine = estimate_comparison_constant(
+            phi, GridFunction(fine, np.interp(fine.nodes, coarse.nodes, values)))
+        assert abs(c / c_fine - 1.0) <= 0.01
+
 
 _FINE_M = np.geomspace(1e-4, 1e4, 331)
 _NUMERIC_MAPS = ("sum-powers:3,1.5", "ratio:2,0.5", "xlog", "x-log1p")
@@ -348,7 +367,7 @@ def _bisected_comparison_constant(phi, h):
 
 def _exact_lhs(phi, h, M):
     """The comparison LHS with the certified inverse in place of the table,
-    on the same lower sum at the cell nodes."""
+    on the same cells of the lower sum."""
     wl, dl, wr, dr, _ = _outside_memo(phi, h).cells
     return np.minimum(phi.inverse(M[:, None] * dl) @ wl,
                       phi.inverse(M[:, None] * dr) @ wr)
@@ -598,9 +617,9 @@ class TestLowerSumOracle:
 
         return at
 
-    def test_lhs_is_a_tight_lower_bound(self):
+    @staticmethod
+    def _inverses():
         pytest.importorskip("scipy")
-        from scipy.integrate import quad
         from scipy.optimize import brentq
 
         def xlog_inverse(z):
@@ -610,15 +629,14 @@ class TestLowerSumOracle:
             return brentq(lambda t: t * (abs(math.log(t)) + 1.0) - z,
                           5e-324, max(z, 1.0), xtol=1e-300)
 
-        inverses = {"power:2": math.sqrt,
-                    "arcsinh": lambda z: math.sinh(z) if z < 710.0 else math.inf,
-                    "xlog": xlog_inverse}
-        cases, taken = [], dict.fromkeys(self.COUNTS, 0)
-        for descriptor, phi, h in corpus(seed=0, count=200):
-            if taken.get(descriptor, 0) < self.COUNTS.get(descriptor, 0):
-                taken[descriptor] += 1
-                cases.append((descriptor, phi, h))
-        assert taken == self.COUNTS
+        return {"power:2": math.sqrt,
+                "arcsinh": lambda z: math.sinh(z) if z < 710.0 else math.inf,
+                "xlog": xlog_inverse}
+
+    def _assert_tight_lower_bound(self, cases):
+        from scipy.integrate import quad
+
+        inverses = self._inverses()
         M = np.geomspace(1e-4, 1e4, 33)
         compared = 0
         for descriptor, phi, h in cases:
@@ -643,3 +661,24 @@ class TestLowerSumOracle:
                     assert value >= 0.97 * oracle
                 compared += 1
         assert compared >= 0.9 * len(M) * len(cases)
+
+    def test_lhs_is_a_tight_lower_bound(self):
+        self._inverses()
+        cases, taken = [], dict.fromkeys(self.COUNTS, 0)
+        for descriptor, phi, h in corpus(seed=0, count=200):
+            if taken.get(descriptor, 0) < self.COUNTS.get(descriptor, 0):
+                taken[descriptor] += 1
+                cases.append((descriptor, phi, h))
+        assert taken == self.COUNTS
+        self._assert_tight_lower_bound(cases)
+
+    def test_coarse_grid_lhs_is_a_tight_lower_bound(self):
+        # Each side of the tent on three nodes spans one grid cell, and the
+        # edge forcing on five nodes leaves half a cell left of theta_bar.
+        self._inverses()
+        cases = [(descriptor, make_catalog_entry(descriptor),
+                  GridFunction(Grid.uniform(0.0, 1.0, len(values)),
+                               np.array(values)))
+                 for descriptor in self.COUNTS
+                 for values in _COARSE_FORCINGS.values()]
+        self._assert_tight_lower_bound(cases)
