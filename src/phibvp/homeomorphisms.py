@@ -451,8 +451,13 @@ class _InverseTable:
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         if self._exact is not None:
+            # Zeroed in place; the identity of power:1 returns its input.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return np.where(z == 0.0, 0.0, self._exact(z))
+                t = np.asarray(self._exact(z), dtype=float)
+            if np.may_share_memory(t, z):
+                t = t.copy()
+            t[z == 0.0] = 0.0
+            return t
         return np.interp(z, self._z, self._t, left=0.0)
 
 

@@ -9,6 +9,10 @@ integrator turns every positive solution into a root of the terminal-defect
 map s -> u(b; s), which a scanning routine brackets and refines.  The
 integrator marches many slopes and lambda values at once, as lanes of one
 stacked RK4 state (u, phi(u')), and locates zero crossings after the march.
+Each refinement pass marches, for every bracket at once, its eighths and a
+cluster of probes graded toward a regula-falsi estimate of the root on the
+continued terminal, the marched u(b) that runs on linearly past a zero
+crossing, so the brackets shrink quadratically and at least eightfold.
 """
 
 from __future__ import annotations
@@ -482,7 +486,15 @@ def _positive_row(spec, terminal, u_nodes, z_nodes, crossed, blown,
     return bool(np.all(u_nodes[1:-1] > 0.0)) and du_a > 0.0 > du_b
 
 
-_REFINE_PROBES = 15
+# Probes of one refinement pass, as fractions of its bracket's width w in
+# log s: the eighths k/8 (k = 1..7), which narrow every bracket at least
+# eightfold, then offsets from the regula-falsi estimate of the root, 0 and
+# +/- 8^-k (k = 1..9), graded toward it so that a good estimate narrows the
+# bracket to about its own error.
+_REFINE_EIGHTHS = np.arange(1, 8) / 8.0
+_REFINE_GRADES = np.concatenate(([0.0], 8.0 ** -np.arange(1, 10),
+                                 -(8.0 ** -np.arange(1, 10))))
+_REFINE_PROBES = _REFINE_EIGHTHS.size + _REFINE_GRADES.size
 # A bracket stops refining once its best terminal is within this multiple
 # of the interval length.
 _DEFECT_TOL_REL = 1e-10
@@ -503,17 +515,25 @@ def _marches(spec, s, lam):
         yield start, _shoot_batch(spec, s[part], lam[part])
 
 
-def _refine_brackets(spec, lams, which, s_lo, s_hi, f_lo, f_hi, defect_tol,
-                     stop_at_first):
+def _refine_brackets(spec, lams, which, s_lo, s_hi, f_lo, f_hi, v_lo, v_hi,
+                     defect_tol, stop_at_first):
     """Shrink sign-change brackets in log-s space, batched across brackets.
 
-    Bracket i belongs to lambda ``lams[which[i]]``.  Each round integrates
-    a batch of interior probes for every active bracket, of every lambda,
-    in a single marching pass (the pass cost is dominated by the cell loop,
-    not by the lane count) and keeps the sub-interval where the terminal
-    value changes sign, narrowing every bracket by a factor of
-    ``_REFINE_PROBES + 1`` per pass.  A bracket stops once its best probe
-    is within ``defect_tol``.
+    Bracket i belongs to lambda ``lams[which[i]]``; ``f_lo``/``f_hi`` are
+    its end terminals and ``v_lo``/``v_hi`` its end values of the continued
+    terminal, the marched u(b) (``U[:, -1]``).  Below zero the clamped
+    right-hand side vanishes, so a lane runs on linearly past its crossing
+    and u(b) stays smooth in log s across the root, with the sign of the
+    terminal, where the terminal itself has a kink.  Each pass marches the
+    ``_REFINE_PROBES`` probes of every active bracket, of every lambda, in
+    a single march (its cost is the cell loop, not the lane count): the
+    eighths of the bracket, and a cluster graded toward the regula-falsi
+    estimate of the root on the continued terminal (the midpoint where an
+    end value or the estimate is not finite), clipped to the bracket.  The
+    first sub-interval where the terminal changes sign is kept, at least
+    eightfold narrower, and as narrow as the estimate's error when the
+    estimate is good, so the passes converge quadratically.  A bracket
+    stops once its best probe is within ``defect_tol``.
 
     Returns (best_s, best_f, first), ``first`` holding one entry per
     lambda.  With ``stop_at_first`` set, every pass also screens its
@@ -528,23 +548,35 @@ def _refine_brackets(spec, lams, which, s_lo, s_hi, f_lo, f_hi, defect_tol,
     lb = np.log(s_hi)
     fa = f_lo.copy()
     fb = f_hi.copy()
+    va = np.array(v_lo, dtype=float)
+    vb = np.array(v_hi, dtype=float)
     best_s = np.where(np.abs(fa) <= np.abs(fb), s_lo, s_hi)
     best_f = np.where(np.abs(fa) <= np.abs(fb), fa, fb)
     active = np.ones(la.size, dtype=bool)
     first = [None] * len(lams)
-    frac = np.arange(1, _REFINE_PROBES + 1) / (_REFINE_PROBES + 1.0)
 
     for _ in range(60):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        lc = la[idx, None] + (lb - la)[idx, None] * frac[None, :]
+        lo, hi = la[idx, None], lb[idx, None]
+        v0, v1 = va[idx, None], vb[idx, None]
+        width = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            guess = lo + width * (v0 / (v0 - v1))
+        finite = np.isfinite(v0) & np.isfinite(v1) & np.isfinite(guess)
+        guess = np.where(finite, guess, lo + 0.5 * width)
+        lc = np.sort(np.clip(np.concatenate(
+            [lo + width * _REFINE_EIGHTHS, guess + width * _REFINE_GRADES],
+            axis=1), lo, hi), axis=1)
         s_c = np.exp(lc)
         lane_of = np.repeat(which[idx], _REFINE_PROBES)
         f_c = np.empty(s_c.shape)
+        v_c = np.empty(s_c.shape)
         for start, (terminal, U, Z, crossed, _, blown) in _marches(
                 spec, s_c.ravel(), lams[lane_of]):
             f_c.flat[start:start + terminal.size] = terminal
+            v_c.flat[start:start + terminal.size] = U[:, -1]
             if not stop_at_first:
                 continue
             for j in np.flatnonzero(np.abs(terminal) <= accept_tol):
@@ -561,6 +593,8 @@ def _refine_brackets(spec, lams, which, s_lo, s_hi, f_lo, f_hi, defect_tol,
         chain_r = np.concatenate([lc, lb[idx, None]], axis=1)
         chain_fl = np.concatenate([fa[idx, None], f_c], axis=1)
         chain_fr = np.concatenate([f_c, fb[idx, None]], axis=1)
+        chain_vl = np.concatenate([va[idx, None], v_c], axis=1)
+        chain_vr = np.concatenate([v_c, vb[idx, None]], axis=1)
         flips = chain_fl * chain_fr <= 0.0
         has_flip = np.any(flips, axis=1)
         cut = np.argmax(flips, axis=1)
@@ -570,6 +604,8 @@ def _refine_brackets(spec, lams, which, s_lo, s_hi, f_lo, f_hi, defect_tol,
         fa[idx] = chain_fl[rows, cut]
         lb[idx] = chain_r[rows, cut]
         fb[idx] = chain_fr[rows, cut]
+        va[idx] = chain_vl[rows, cut]
+        vb[idx] = chain_vr[rows, cut]
 
         flat_best = np.argmin(np.abs(f_c), axis=1)
         cand_f = f_c[rows, flat_best]
@@ -621,9 +657,11 @@ def _scan(spec, lams, s_max, count, stop_at_first=False):
 
     s_grid = np.geomspace(s_max * 1e-12, s_max, count)
     terminal = np.empty((lams.size, count))
+    continued = np.empty((lams.size, count))
     for start, out in _marches(spec, np.tile(s_grid, lams.size),
                                np.repeat(lams, count)):
         terminal.flat[start:start + out[0].size] = out[0]
+        continued.flat[start:start + out[0].size] = out[1][:, -1]
 
     which, lo_idx = np.nonzero(terminal[:, :-1] * terminal[:, 1:] < 0.0)
     roots = [list(s_grid[row == 0.0]) for row in terminal]
@@ -631,8 +669,9 @@ def _scan(spec, lams, s_max, count, stop_at_first=False):
     if which.size:
         best_s, best_f, first = _refine_brackets(
             spec, lams, which, s_grid[lo_idx], s_grid[lo_idx + 1],
-            terminal[which, lo_idx], terminal[which, lo_idx + 1], defect_tol,
-            stop_at_first)
+            terminal[which, lo_idx], terminal[which, lo_idx + 1],
+            continued[which, lo_idx], continued[which, lo_idx + 1],
+            defect_tol, stop_at_first)
         confirmed = np.abs(best_f) <= accept_tol
         for k, r in zip(which[confirmed], best_s[confirmed]):
             roots[k].append(r)

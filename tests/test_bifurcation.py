@@ -232,8 +232,10 @@ class TestBatchedFold:
 
     def test_fold_sweep_march_budget(self, monkeypatch):
         # Three lambda lanes per scan march, one pass for both bisection
-        # steps, one batched call for the spot checks: at most 24 marches,
-        # where one lambda at a time took 57 to 60.
+        # steps, one batched call for the spot checks, and refinement
+        # passes graded toward a regula-falsi estimate: at most 16 marches,
+        # where sixteen-fold narrowing per pass took 20 and one lambda at a
+        # time 57 to 60.
         calls = []
         march = nonlinear._shoot_batch
 
@@ -245,7 +247,7 @@ class TestBatchedFold:
         diagram = sweep(reference_spec(n_nodes=129), FOLD_SWEEP, s_max=100.0,
                         count=60)
         assert [len(p.solutions) for p in diagram.points] == [2, 2, 0]
-        assert len(calls) <= 24
+        assert len(calls) <= 16
 
     def test_interior_gaps_are_retried_together(self, monkeypatch):
         # Hide every solution of the 60-slope scan at the middle lambdas:

@@ -543,6 +543,14 @@ class TestInverseTable:
         out = table(np.array([0.0, -0.0, 1.0]))
         assert _same_bits(out, np.array([0.0, 0.0, 1.0]))
 
+    def test_identity_path_leaves_its_argument(self):
+        # power:1's inverse returns its argument, so the table zeroes a
+        # copy of it, not the caller's array.
+        z = np.array([-0.0, 0.0, 2.0])
+        out = _InverseTable(make_power(1.0), 1.0)(z)
+        assert _same_bits(out, np.array([0.0, 0.0, 2.0]))
+        assert _same_bits(z, np.array([-0.0, 0.0, 2.0]))
+
     @pytest.mark.parametrize("descriptor", _NUMERIC_CATALOG)
     @pytest.mark.parametrize("z_max", [1e-2, 1.0, 1e4])
     def test_table_stays_below_the_certified_inverse(self, descriptor, z_max):

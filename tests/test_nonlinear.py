@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,11 @@ from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
                     make_catalog_entry, make_power, make_sub_super_pair, scan_shooting, shoot,
                     solve_between, solve_linear, sup_norm, verify_subsolution,
                     verify_supersolution, with_lambda)
+from phibvp import nonlinear
 from phibvp.homeomorphisms import _odd_inverse_fn
-from phibvp.nonlinear import (_BLOWUP_FLUX, _BLOWUP_STATE, _cell_means,
-                              _shoot_batch)
+from phibvp.nonlinear import (_BLOWUP_FLUX, _BLOWUP_STATE, _CONFIRM,
+                              _REFINE_EIGHTHS, _REFINE_GRADES, _cell_means,
+                              _refine_brackets, _shoot_batch)
 
 
 def reference_spec(lam=0.5, n_nodes=257):
@@ -462,6 +465,114 @@ class TestShooting:
         # An infinite s_max once scanned nothing and returned [].
         with pytest.raises(ValueError, match="finite s_max > 0"):
             scan_shooting(constant_rhs_spec(65), s_max=np.inf)
+
+
+def _counted_marches(monkeypatch, blank_continued=False):
+    """Record the slopes of every ``_shoot_batch`` call; with
+    ``blank_continued`` set, every march reports a NaN continued terminal."""
+    marches = []
+    march = nonlinear._shoot_batch
+
+    def counted(spec, s_values, lam=None):
+        marches.append(np.atleast_1d(np.asarray(s_values, dtype=float)))
+        out = march(spec, s_values, lam)
+        if blank_continued:
+            out[1][:, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(nonlinear, "_shoot_batch", counted)
+    return marches
+
+
+# The 60 slopes of a scan up to s_max = 100, over twelve decades.
+SCAN_SLOPES = np.geomspace(1e-10, 100.0, 60)
+
+
+class TestBracketRefinement:
+    def test_one_lambda_march_budget(self, monkeypatch):
+        # One detection march, then the refinement passes of both brackets
+        # and one march of the two roots: at most five after the detection,
+        # where sixteen-fold narrowing per pass took eight.  No march is
+        # wider than the detection's 60 lanes.
+        marches = _counted_marches(monkeypatch)
+        found = scan_shooting(reference_spec(0.5, 129), s_max=100.0, count=60)
+        assert len(found) == 2
+        assert len(marches) - 1 <= 5
+        assert max(s.size for s in marches) == 60
+
+    @pytest.mark.parametrize("descriptor, lam", [
+        ("power:1", 0.3), ("power:1", 2.0), ("power:1", 8.0),
+        ("power:2", 0.5), ("sum-powers:3,1.5", 0.5)])
+    def test_slopes_match_a_brentq_oracle(self, descriptor, lam):
+        # scipy's brentq on the terminal of ``shoot`` in log s, over the
+        # two scan slopes either side of each returned slope.
+        optimize = pytest.importorskip("scipy.optimize")
+        spec = replace(reference_spec(lam, 129),
+                       phi=make_catalog_entry(descriptor))
+        found = scan_shooting(spec, s_max=100.0, count=60)
+        assert found
+
+        def terminal(log_s):
+            return shoot(spec, math.exp(log_s)).terminal
+
+        for profile in found:
+            s = float(profile.du.values[0])
+            i = int(np.searchsorted(SCAN_SLOPES, s))
+            assert SCAN_SLOPES[i - 1] < s < SCAN_SLOPES[i]
+            root = math.exp(optimize.brentq(
+                terminal, math.log(SCAN_SLOPES[i - 1]),
+                math.log(SCAN_SLOPES[i]), xtol=1e-14, rtol=1e-15))
+            assert abs(s - root) <= 1e-7 * root, (s, root)
+
+    @pytest.mark.parametrize("v_lo, v_hi, blank", [
+        (np.inf, np.inf, False), (np.nan, -1.0, False),
+        (1.0, -np.inf, False), (np.nan, np.nan, True)])
+    def test_non_finite_continued_values_fall_back_to_the_midpoint(
+            self, monkeypatch, v_lo, v_hi, blank):
+        # The upper-branch bracket of the reference problem at lambda = 0.5.
+        # Without finite continued end values the first pass probes the
+        # eighths and the cluster graded toward the midpoint, every pass
+        # narrows the bracket at least eightfold, and the root confirmed is
+        # the one finite values give.  ``blank`` keeps every continued
+        # value NaN, so every pass falls back.  (1.0, -inf) would put the
+        # regula-falsi estimate at the lower end.
+        spec = reference_spec(0.5, 129)
+        terminal, U = _shoot_batch(spec, SCAN_SLOPES)[:2]
+        i = np.flatnonzero(terminal[:-1] * terminal[1:] < 0.0)[-1]
+        ends = np.array([i]), np.array([i + 1])
+        defect_tol = 1e-10
+        args = (spec, np.array([0.5]), np.array([0]), SCAN_SLOPES[ends[0]],
+                SCAN_SLOPES[ends[1]], terminal[ends[0]], terminal[ends[1]])
+        s_finite, f_finite, _ = _refine_brackets(
+            *args, U[ends[0], -1], U[ends[1], -1], defect_tol, False)
+
+        passes = _counted_marches(monkeypatch, blank)
+        s_fall, f_fall, _ = _refine_brackets(
+            *args, np.array([v_lo]), np.array([v_hi]), defect_tol, False)
+
+        def midpoint_layout(lo, width):
+            return lo + width * np.sort(np.concatenate(
+                (_REFINE_EIGHTHS, 0.5 + _REFINE_GRADES)))
+
+        lo, hi = np.log(SCAN_SLOPES[i:i + 2])
+        assert np.allclose(np.log(passes[0]), midpoint_layout(lo, hi - lo),
+                           rtol=0.0, atol=1e-12)
+        # A pass's probes span 3/4 of its bracket about the midpoint, and
+        # 3/4 to all of it about another estimate: an eightfold narrowing
+        # shrinks the span eightfold in the first case, sixfold at worst.
+        spans = [np.ptp(np.log(s)) for s in passes]
+        for slopes, wide, narrow in zip(passes[1:], spans, spans[1:]):
+            if wide <= 1e-6:
+                break
+            if blank:
+                width = narrow / 0.75
+                lo = np.log(slopes[0]) - width / 8.0
+                assert np.allclose(np.log(slopes), midpoint_layout(lo, width),
+                                   rtol=0.0, atol=1e-12)
+            assert narrow <= wide / (8.0 if blank else 6.0) * (1.0 + 1e-6)
+        for s, f in ((s_finite, f_finite), (s_fall, f_fall)):
+            assert abs(f[0]) <= _CONFIRM * defect_tol
+        assert s_fall[0] == pytest.approx(s_finite[0], rel=1e-7)
 
 
 class TestConvergenceOrder:
