@@ -223,6 +223,13 @@ def _add_common(parser, grid_size_default=None):
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
 
 
+def _case_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("need at least 1 case, got %d" % count)
+    return count
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use; every later call, and
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-bounds",
                        help="randomized check of the discrete bound chains")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=_case_count, default=50)
     _add_common(p, grid_size_default=257)
     p.set_defaults(handler=_cmd_verify_bounds)
 

@@ -277,6 +277,8 @@ def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
     residual.  ``history``, when given, collects the iterate sup-norms.
     Raises ``ConvergenceError``, carrying the last iterate, after 200 steps.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     lo = v.u.values
     hi = w.u.values
     scale = 1.0 + float(np.max(np.abs(hi)))

@@ -23,9 +23,6 @@ from .homeomorphisms import (Homeomorphism, _reciprocal_index,
 
 _GRID_POINTS = 10 ** 4
 _LN2 = math.log(2.0)
-# A finite ratio this large is read as an escaping supremum.  A power map
-# of exponent above about 8.3 reaches it at t = 2**40.
-_SATURATION_RATIO = 1e100
 _BIG = math.log(1e6)
 _TINY_NORMAL = float(np.finfo(float).tiny)
 # The fixed discretizations of the checks below, and the duality pass
@@ -85,6 +82,9 @@ def _octave_extension(x: np.ndarray, octaves: int):
 # the check's 161 half-octave steps 2^-40, ..., 2^40 is an index shift.
 _CHECK_X_GRID = _dyadic_grid(1e-8, 1e8, even=True)
 _CHECK_T_GRID = 2.0 ** np.linspace(-40.0, 40.0, 161)
+# The doubling test's x: as many log-spaced points, a decade wider each way.
+_DOUBLING_X_GRID = np.geomspace(_CHECK_X_GRID[0] / 10.0,
+                                _CHECK_X_GRID[-1] * 10.0, _CHECK_X_GRID.size)
 
 
 def representable_x_grid(phi: Homeomorphism) -> np.ndarray:
@@ -127,50 +127,69 @@ def _sampled_ratio(phi: Homeomorphism, t: float, x: np.ndarray,
                    den: np.ndarray) -> float:
     """``growth_ratio`` on a dyadic grid x, given den = phi(x)."""
     with np.errstate(over="ignore"):
-        num = np.asarray(phi.forward(t * x), dtype=float)
-    return _ratio_sup(num, den)
+        num, den = _lane_rule(np.asarray(phi.forward(t * x), dtype=float),
+                              den)
+        sup = float(np.fmax.reduce(num / den))
+    return math.inf if math.isnan(sup) else sup
 
 
-def _kept_lanes(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Mask of the lanes of num / den that ``growth_ratio`` keeps."""
+def _lane_rule(num: np.ndarray, den: np.ndarray):
+    """num and den with NaN on the entries ``growth_ratio`` drops: a
+    numerator that is not finite or is subnormal, and a denominator that is
+    not finite and normal.  Their quotient is NaN exactly on dropped lanes."""
     with np.errstate(invalid="ignore"):
-        return (np.isfinite(num) & ((num == 0.0) | (num >= _TINY_NORMAL))
-                & np.isfinite(den) & (den >= _TINY_NORMAL))
+        return (np.where(np.isfinite(num)
+                         & ((num == 0.0) | (num >= _TINY_NORMAL)), num, np.nan),
+                np.where(np.isfinite(den) & (den >= _TINY_NORMAL), den, np.nan))
 
 
-def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
-    """Largest num / den over the lanes ``growth_ratio`` keeps."""
-    valid = _kept_lanes(num, den)
-    if not np.any(valid):
+def _escaping_sup(x: np.ndarray, quotient: np.ndarray) -> float:
+    """The largest ratio of ``quotient``, sampled at the increasing x with
+    NaN on the lanes the lane rule drops, or inf where it escapes.
+
+    The supremum escapes when no lane is kept, when it overflows, or when it
+    is more than twice the supremum over the kept span pulled in by two
+    octaves at both ends, the kept lanes with x in [4 x_first, x_last / 4];
+    with no lane left there it escapes too.  A ratio that climbs toward
+    where the float range cuts the span, as expm1's does where phi(t x)
+    overflows and exp(-1/sqrt x)'s where phi(x) leaves the normal range,
+    therefore escapes, while a power map keeps t^r over the whole span.
+    """
+    dropped = np.isnan(quotient)
+    first = int(dropped.argmin())
+    if dropped[first]:
         return math.inf
-    with np.errstate(over="ignore"):
-        return float(np.max(num[valid] / den[valid]))
+    last = dropped.size - 1 - int(dropped[::-1].argmin())
+    lo = np.searchsorted(x, 4.0 * x[first])
+    hi = np.searchsorted(x, x[last] / 4.0, side="right")
+    sup = float(np.fmax.reduce(quotient))
+    inner = np.fmax.reduce(quotient[lo:hi]) if lo < hi else math.nan
+    return sup if sup <= 2.0 * inner else math.inf
 
 
 def _dyadic_ratios(phi: Homeomorphism, grid: np.ndarray, ks) -> np.ndarray:
     """``_sampled_ratio`` at t = 2^k for each integer k in ks, |k| <= 40, on
     a dyadic grid, all read from one evaluation of phi on the grid extended
-    by 40 octaves on each side.
+    by 40 octaves on each side; at k > 0 an escaping supremum
+    (``_escaping_sup``) reads inf.  Below t = 1 the ratio of an increasing
+    map is at most 1, and nothing escapes.
 
-    The lane rule of ``_ratio_sup`` is applied once to that evaluation: a
-    numerator that is not finite or is subnormal, and a denominator that is
-    not finite and normal, is set to NaN.  Each ratio is then one division
-    and one NaN-skipping maximum, and a shift with no lane left reads inf.
+    ``_lane_rule`` is applied once to that evaluation, so each ratio is one
+    division into a reused buffer and NaN-skipping maxima over its slices,
+    and a shift with no lane left reads inf.
     """
     ext, m = _octave_extension(grid, _K_MAX)
     vals = np.asarray(phi.forward(ext), dtype=float)
     n = grid.size
-    den = vals[_K_MAX * m:_K_MAX * m + n]
-    den = np.where(np.isfinite(den) & (den >= _TINY_NORMAL), den, np.nan)
-    num = np.where(np.isfinite(vals)
-                   & ((vals == 0.0) | (vals >= _TINY_NORMAL)), vals, np.nan)
+    num, den = _lane_rule(vals, vals[_K_MAX * m:_K_MAX * m + n])
     sups = np.empty(len(ks))
     quotient = np.empty(n)
     with np.errstate(over="ignore"):
         for j, k in enumerate(ks):
             start = (_K_MAX + int(k)) * m
             np.divide(num[start:start + n], den, out=quotient)
-            sups[j] = np.fmax.reduce(quotient)
+            sups[j] = (_escaping_sup(grid, quotient) if k > 0
+                       else np.fmax.reduce(quotient))
     sups[np.isnan(sups)] = math.inf
     return sups
 
@@ -206,19 +225,20 @@ def _ls_slope(x: np.ndarray, y: np.ndarray):
 def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     """Estimate both growth exponents from dyadic samples of the growth ratio.
 
-    The ratio is sampled at t = 2^-k and t = 2^k for k = 12, ..., 40, each
-    on the dyadic ``representable_x_grid`` (at least 10^4 log-spaced x over
-    the octaves where phi is finite and positive).  Since t x is that grid
-    shifted by k octaves, phi is evaluated once, on the grid extended by 40
-    octaves on each side, and every ratio is read from slices of it.
-    The lower exponent is the least-squares slope of ln M(t) against ln t
-    over the deepest 12 values of t = 2^-k; the upper exponent is fitted the
-    same way over the largest 12 values of t = 2^k.  The upper one is
-    reported as inf when the ratio saturates (a non-finite sample or one
-    above 1e100) or when the slope still grows across the window, both of
-    which signal faster-than-power growth.  A lower slope under 0.02 is
-    snapped to exactly 0: at that size it is indistinguishable from the
-    logarithmic corrections of a zero-exponent map.
+    The ratio is sampled at t = 2^-k for k = 12, ..., 40 and at t = 2^k for
+    k = 29, ..., 40, each on the dyadic ``representable_x_grid`` (at least
+    10^4 log-spaced x over the octaves where phi is finite and positive).
+    Since t x is that grid shifted by k octaves, phi is evaluated once, on
+    the grid extended by 40 octaves on each side, and every ratio is read
+    from slices of it.  The lower exponent is the least-squares slope of
+    ln M(t) against ln t over the deepest 12 values of t = 2^-k; the upper
+    exponent is fitted the same way over the 12 values of t = 2^k, and is
+    reported as inf when one of them escapes (``_escaping_sup``, the rule
+    ``check_delta2`` applies too), which signals faster-than-power growth;
+    a power map of exponent 25.6 or more escapes because its M(2^40)
+    overflows.  A lower slope under 0.02 is snapped to exactly 0:
+    at that size it is indistinguishable from the logarithmic corrections
+    of a zero-exponent map.
 
     Each sample keeps only the lanes of ``growth_ratio``'s rule.  Raises
     ``UnboundedInputError``, naming the t, when a small-t sample underflows
@@ -226,8 +246,9 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     fit needs every logarithm finite.
     """
     ks = np.arange(_K_MIN, _K_MAX + 1)
+    fit_ks = ks[-_FIT_POINTS:]
     ratios = _dyadic_ratios(phi, representable_x_grid(phi),
-                            np.concatenate((-ks, ks)))
+                            np.concatenate((-ks, fit_ks)))
     m_small, m_large = ratios[:ks.size], ratios[ks.size:]
     lost = np.flatnonzero(m_small == 0.0)
     if lost.size:
@@ -241,27 +262,16 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
                                      np.log(m_small[-_FIT_POINTS:]))
     alpha_hat = 0.0 if alpha_raw < 0.02 else alpha_raw
 
-    saturated = bool(np.any(~np.isfinite(m_large))
-                     or np.any(m_large > _SATURATION_RATIO))
-    if saturated:
-        beta_hat, beta_rms = math.inf, 0.0
+    if np.all(np.isfinite(m_large)):
+        beta_hat, beta_rms = _ls_slope(fit_ks * _LN2, np.log(m_large))
     else:
-        ln_t_large = ks * _LN2
-        ln_m = np.log(m_large)
-        half = ks.size // 2
-        slope_early, _ = _ls_slope(ln_t_large[:half], ln_m[:half])
-        slope_late_full, _ = _ls_slope(ln_t_large[half:], ln_m[half:])
-        if slope_late_full - slope_early > 0.5:
-            beta_hat, beta_rms = math.inf, 0.0
-        else:
-            beta_hat, beta_rms = _ls_slope(ln_t_large[-_FIT_POINTS:],
-                                           ln_m[-_FIT_POINTS:])
+        beta_hat, beta_rms = math.inf, 0.0
 
     return IndexEstimate(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
         t_small_range=(2.0 ** (-_K_MAX), 2.0 ** (-_K_MIN)),
-        t_large_range=(2.0 ** _K_MIN, 2.0 ** _K_MAX),
+        t_large_range=(2.0 ** int(fit_ks[0]), 2.0 ** _K_MAX),
         fit_residual=max(alpha_rms, beta_rms),
     )
 
@@ -276,45 +286,24 @@ def check_delta2(phi: Homeomorphism) -> Delta2Result:
 
     The doubling constant is the supremum of phi(2x) / phi(x) over the lanes
     ``growth_ratio`` keeps (a numerator that overflows or is subnormal, or a
-    denominator that is not finite and normal, is dropped).  It is sampled
-    on the 10,099 log-spaced x of the dyadic check grid over [1e-8, 1e8]
-    (190 per octave) and again on as many log-spaced x in [1e-9, 1e9]; the
-    condition is reported to hold when both samples are finite and the
-    extension grows the constant by less than a factor of two.
-
-    Where the lane rule drops the lanes at an end of the wider grid, both
-    grids stop at the same x there and the extension tests nothing at that
-    end.  The constant over the wider grid's kept lanes must then also be
-    within a factor of two of its value over those lanes with the span
-    pulled in by two octaves at each such end; with no lane left there
-    the condition is not reported to hold.  That catches expm1 and
-    expm1(sqrt x), whose ratios climb to about 3e153 and 2e90 where
-    phi(2x) overflows, and exp(-1/sqrt x), whose ratio climbs to 9e89
-    where phi(x) leaves the normal range; a power map keeps its constant
-    2^r over the whole kept span, which is more than four octaves up to
-    r = 408.  ``k_hat`` is the constant on the wider grid, and inf when
-    the condition fails.
+    denominator that is not finite and normal, is dropped), sampled on the
+    10,099 log-spaced x of ``_DOUBLING_X_GRID`` over about [1e-9, 1e9].  The
+    condition holds when that supremum does not escape
+    (``_escaping_sup``, the rule of the growth fit): it must be finite and
+    within a factor of two of its value over the kept span pulled in by two
+    octaves at both ends.  That catches expm1 and expm1(sqrt x), whose
+    ratios climb to about 3e153 and 2e90 where phi(2x) overflows, and
+    exp(-1/sqrt x), whose ratio climbs to 9e89 where phi(x) leaves the
+    normal range; a power map keeps its constant 2^r over the whole kept
+    span, which is more than four octaves up to r = 408.  ``k_hat`` is the
+    constant, and inf when the condition fails.
     """
-    grid = _CHECK_X_GRID
-    wide = np.geomspace(grid[0] / 10.0, grid[-1] * 10.0, grid.size)
     with np.errstate(over="ignore"):
-        base = _sampled_ratio(phi, 2.0, grid,
-                              np.asarray(phi.forward(grid), dtype=float))
-        num = np.asarray(phi.forward(2.0 * wide), dtype=float)
-        den = np.asarray(phi.forward(wide), dtype=float)
-    kept = np.flatnonzero(_kept_lanes(num, den))
-    if kept.size == 0:
-        return Delta2Result(holds=False, k_hat=math.inf)
-    with np.errstate(over="ignore"):
-        ratio = num[kept] / den[kept]
-    k_ext = float(np.max(ratio))
-    xs = wide[kept]
-    lo = 4.0 * xs[0] if kept[0] > 0 else 0.0
-    hi = xs[-1] / 4.0 if kept[-1] < wide.size - 1 else math.inf
-    inner = ratio[(xs >= lo) & (xs <= hi)]
-    holds = bool(inner.size and base < math.inf and k_ext < math.inf
-                 and k_ext <= 2.0 * base and k_ext <= 2.0 * np.max(inner))
-    return Delta2Result(holds=holds, k_hat=k_ext if holds else math.inf)
+        num, den = _lane_rule(
+            np.asarray(phi.forward(2.0 * _DOUBLING_X_GRID), dtype=float),
+            np.asarray(phi.forward(_DOUBLING_X_GRID), dtype=float))
+        k_hat = _escaping_sup(_DOUBLING_X_GRID, num / den)
+    return Delta2Result(holds=k_hat < math.inf, k_hat=k_hat)
 
 
 class PhiConditionReport(NamedTuple):

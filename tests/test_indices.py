@@ -11,8 +11,8 @@ from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, HypothesisVerdict,
                     estimate_indices, growth_ratio, hypothesis_advisor,
                     inverse_homeomorphism, make_catalog_entry, make_power)
 from phibvp.orlicz import (_CHECK_T_GRID, _CHECK_X_GRID, _dyadic_ratios,
-                           _octave_extension, _sampled_ratio,
-                           representable_x_grid)
+                           _escaping_sup, _lane_rule, _octave_extension,
+                           _sampled_ratio, representable_x_grid)
 
 # Frozen battery targets: fitted exponent pair and doubling constant per
 # catalog entry, plus whether the two-sided power sandwich is certifiable.
@@ -34,6 +34,17 @@ _ESTIMATES = {}
 # underflowing and overflowing at the grid ends.
 _RANGE_EDGE_MAPS = {"expm1": Homeomorphism("expm1", np.expm1, np.log1p),
                     "power:40": make_power(40.0)}
+# Maps that grow faster than any power, so their growth ratio escapes.
+_ESCAPING_MAPS = [
+    _RANGE_EDGE_MAPS["expm1"],
+    Homeomorphism("expm1-sqrt", lambda z: np.expm1(np.sqrt(z)),
+                  lambda y: np.log1p(y) ** 2),
+    Homeomorphism("exp-inv-sqrt", lambda z: np.exp(-1.0 / np.sqrt(z)),
+                  lambda y: np.log(y) ** -2),
+    Homeomorphism("expm1-log1p-sq", lambda z: np.expm1(np.log1p(z) ** 2),
+                  lambda y: np.expm1(np.sqrt(np.log1p(y)))),
+] + [inverse_homeomorphism(make_catalog_entry(d))
+     for d in ("logpow:2", "arcsinh", "loglog")]
 
 
 def entry_for(descriptor):
@@ -82,7 +93,7 @@ class TestGrowthRatio:
 
     def test_estimate_evaluates_phi_on_its_grid_once(self):
         # One forward call builds the probe ladder and one evaluates phi on
-        # the x grid extended by 40 octaves on each side; all 58 dyadic
+        # the x grid extended by 40 octaves on each side; all 41 dyadic
         # samples of the ratio are slices of that one evaluation.
         base = make_catalog_entry("sum-powers:3,1.5")
         calls = []
@@ -105,7 +116,7 @@ class TestGrowthRatio:
     def test_octave_shift_is_direct_evaluation(self, descriptor, side):
         # Shifting the dyadic grid by k octaves is x * 2^k bit for bit, so
         # each sliced ratio is the ratio sampled directly at t = 2^k, with
-        # the same lanes dropped.
+        # the same lanes dropped; at t > 1 it passes the same escape test.
         phi = _RANGE_EDGE_MAPS.get(descriptor) or entry_for(descriptor)
         if side == "inverse":
             phi = inverse_homeomorphism(phi)
@@ -118,7 +129,13 @@ class TestGrowthRatio:
                 np.testing.assert_array_equal(ext[start:start + grid.size],
                                               grid * 2.0 ** k)
         den = np.asarray(phi.forward(grid), dtype=float)
-        direct = [_sampled_ratio(phi, 2.0 ** k, grid, den) for k in ks]
+        direct = []
+        with np.errstate(over="ignore"):
+            for k in ks:
+                num, kept_den = _lane_rule(
+                    np.asarray(phi.forward(grid * 2.0 ** k), dtype=float), den)
+                direct.append(_escaping_sup(grid, num / kept_den) if k > 0
+                              else _sampled_ratio(phi, 2.0 ** k, grid, den))
         assert list(_dyadic_ratios(phi, grid, ks)) == direct
 
 
@@ -160,14 +177,29 @@ class TestIndexEstimates:
             estimate_indices(make_power(r))
 
     def test_deepest_ratio_still_normal_fits(self):
+        # Its M(2^40) = 2^1040 overflows, so the upper fit reads inf.
         est = estimate_indices(make_power(26.0))
         assert est.alpha_hat == pytest.approx(26.0, rel=1e-12)
+        assert math.isinf(est.beta_hat)
+
+    @pytest.mark.parametrize("r", [8.4, 12.0, 20.0, 25.5])
+    def test_steep_power_reads_its_exponent(self, r):
+        # M(2^40) = 2^(40 r) lies above 1e100 for these r, yet the ratio
+        # is t^r over the whole kept span and does not escape.
+        phi = make_power(r)
+        assert estimate_indices(phi).beta_hat == pytest.approx(r, rel=1e-9)
+        assert check_delta2(phi).holds
+
+    @pytest.mark.parametrize("phi", _ESCAPING_MAPS, ids=lambda phi: phi.label)
+    def test_escaping_map_reads_inf_and_fails_doubling(self, phi):
+        assert math.isinf(estimate_indices(phi).beta_hat)
+        assert check_delta2(phi) == (False, math.inf)
 
     @pytest.mark.parametrize("descriptor", ["sum-powers:3,1.5", "xlog"])
     @pytest.mark.parametrize("side", ["map", "inverse"])
     def test_estimate_holds_no_table_of_shifts(self, descriptor, side):
-        # One quotient buffer serves all 58 shifts: about 2.3 MB at most,
-        # where a 58-row table of them would pass 4.8 MB.
+        # One quotient buffer serves all 41 shifts: about 2.3 MB at most,
+        # where a 41-row table of them would add 3.5 MB.
         phi = entry_for(descriptor)
         if side == "inverse":
             phi = inverse_homeomorphism(phi)
@@ -216,8 +248,8 @@ class TestDoubling:
     ], ids=lambda phi: phi.label)
     def test_span_cut_short_by_the_float_range_is_not_certified(self, phi):
         # The first three ratios escape, yet stay below 1e100 up to where
-        # phi(2x) overflows or phi(x) leaves the normal range, at the same
-        # x on both check grids; they must still read as escaping.
+        # phi(2x) overflows or phi(x) leaves the normal range; they must
+        # still read as escaping.
         # power:409 keeps fewer than four octaves, too few to test growth.
         assert check_delta2(phi) == (False, math.inf)
 

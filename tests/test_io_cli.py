@@ -349,6 +349,14 @@ class TestCli:
         assert report["phi_cond"]["holds"] is True
         assert report["duality"]["passed"] is True
 
+    def test_indices_steep_power_passes(self, tmp_path):
+        # M(2^40) = 2^480 is a power ratio, not an escaping one.
+        assert main(["indices", "power:12", "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "indices.json").read_text())
+        assert report["beta_hat"] == pytest.approx(12.0, rel=1e-9)
+        assert report["phi_cond"]["holds"] is True
+        assert report["duality"]["passed"] is True
+
     def test_parser_built_once_and_reused(self, tmp_path):
         # Commands run in one process share one parser and write the same
         # bytes as a call that builds its own.
@@ -433,6 +441,16 @@ class TestCli:
                      "--s-max", "inf", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: need a finite s_max")
         assert not out.exists()
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_verify_bounds_without_cases_exits_two(self, cases, tmp_path,
+                                                   capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify-bounds", "--cases", cases,
+                  "--out-dir", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "need at least 1 case" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as info:

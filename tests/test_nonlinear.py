@@ -329,6 +329,16 @@ class TestSolveBetween:
         with pytest.raises(ValueError):
             solve_between(spec, pair.super, pair.sub)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_nonpositive_tol_rejected(self, tol):
+        # No gap falls below such a tol, so all 200 steps would run and end
+        # in a ConvergenceError for an iteration that did converge.
+        spec = constant_rhs_spec(65)
+        fixed = solve_linear(spec.phi, GridFunction(spec.grid,
+                                                    np.ones(spec.grid.count)))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_between(spec, fixed, fixed, tol=tol)
+
 
 class TestShooting:
     def test_constant_forcing_terminal_closed_form(self):
