@@ -140,6 +140,8 @@ _RETRY_STEPS = 8
 _BRACKET_REL = 1e-13
 # Residual a numeric root must meet: |phi(x) - y| <= _RESIDUAL_TOL (1 + y).
 _RESIDUAL_TOL = 1e-12
+# The smallest positive float; a target below its image has no float root.
+_SMALLEST_FLOAT = 5e-324
 
 
 def _secant_start(targets, lo, hi, f_lo, f_hi):
@@ -283,7 +285,8 @@ def _invert_positive(phi, targets, out_of_range):
     ``ConvergenceError`` is raised if that misses the residual check.
     Targets above every image on the ladder either raise
     ``UnboundedInputError`` (``out_of_range="raise"``) or come back as
-    ``inf`` (``"inf"``).  Which path an entry takes depends on its target
+    ``inf`` (``"inf"``); targets below phi(5e-324), whose roots underflow,
+    come back as 0.  Which path an entry takes depends on its target
     alone, so a root does not depend on the other targets in the call.
     """
     forward_pos = phi._forward_pos
@@ -329,6 +332,13 @@ def _invert_positive(phi, targets, out_of_range):
                 np.where(first, 0.0, pv[i - 1]) - b_y, pv[i] - b_y)
             res = np.abs(np.asarray(forward_pos(b_root), dtype=float) - b_y)
             bad = (res > _RESIDUAL_TOL * (1.0 + b_y)) & ~overflow[bis]
+            if np.any(bad):
+                # Below phi(5e-324) the root lies under the smallest positive
+                # float, where no float meets the residual: it underflows to 0.
+                under = b_y < float(np.asarray(
+                    forward_pos(np.array([_SMALLEST_FLOAT])), dtype=float)[0])
+                b_root[bad & under] = 0.0
+                bad &= ~under
             if np.any(bad):
                 raise ConvergenceError(
                     "numeric inverse missed its tolerance (worst residual %g)"
@@ -386,8 +396,8 @@ def numeric_inverse(phi: Homeomorphism, y):
     ``phi(root (1 - 1e-13)) < |y| <= phi(root (1 + 1e-13))`` hold; a root
     still moving gets a few more sweeps first, and any other entry is redone
     by a bracketed search on its ladder bracket down to adjacent floats.
-    ``ConvergenceError`` is raised if that still misses the residual check.
-    A magnitude above the largest image on the ladder raises
+    ``ConvergenceError`` is raised if that still misses the residual check,
+    except below phi(5e-324), where the root underflows to 0.  A magnitude above the largest image on the ladder raises
     ``UnboundedInputError``.
     """
     return _evaluate(_numeric_odd_inverse(phi, "raise"), y)
@@ -402,6 +412,30 @@ def inverse_saturating(phi: "Homeomorphism", z):
     condition fails or holds trivially.
     """
     return _evaluate(_odd_inverse_fn(phi, "inf"), z)
+
+
+def _rough_inverse(phi: "Homeomorphism", z):
+    """An uncertified estimate of ``inverse_saturating(phi, z)``, for a
+    search that only needs it to steer.
+
+    The closed form when there is one, else the numeric engine's start
+    without its sweeps or certificate: the log-log interpolation of
+    ``_secant_start`` on the fine probe ladder, 0 below the ladder's first
+    image and inf above its last.  Odd like ``phi.inverse``.
+    """
+    if phi._inverse_pos is not None:
+        return inverse_saturating(phi, z)
+    px, pv = phi._probe_ladder(_FINE_PER_DECADE)
+
+    def start(y):
+        i = np.searchsorted(pv, y, side="left")
+        out = np.where(y > pv[-1], np.inf, 0.0)
+        inside = (i > 0) & (i < px.size)
+        j = i[inside]
+        out[inside] = _secant_start(y[inside], px[j - 1], px[j], pv[j - 1],
+                                    pv[j])[0]
+        return out
+    return _evaluate(_odd(start), z)
 
 
 # Nodes of the table's geometric t grid, which spans 16 decades below the

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, UnboundedInputError,
-                    inverse_homeomorphism, inverse_saturating,
-                    make_catalog_entry, make_power, numeric_inverse)
+from phibvp import (CATALOG_DESCRIPTORS, ConvergenceError, Homeomorphism,
+                    UnboundedInputError, inverse_homeomorphism,
+                    inverse_saturating, make_catalog_entry, make_power,
+                    numeric_inverse)
 from phibvp import homeomorphisms
 from phibvp.homeomorphisms import (_FINE_PER_DECADE, _RESIDUAL_TOL,
                                    _RETRY_STEPS, _InverseTable, _lane_root,
                                    _odd, _odd_inverse_fn, _probes,
-                                   _secant_roots)
+                                   _rough_inverse, _secant_roots)
 
 ALL_ENTRIES = [make_catalog_entry(d) for d in CATALOG_DESCRIPTORS]
 
@@ -233,6 +234,20 @@ class TestInversion:
         with pytest.raises(UnboundedInputError):
             numeric_inverse(phi, np.array([0.5, -2.0]))
 
+    def test_root_below_the_smallest_float_underflows_to_zero(self):
+        # phi(5e-324) = 3.4e-7: a smaller target has its root below every
+        # positive float, so it reads 0, as power:0.02's closed form does.
+        phi = make_catalog_entry("sum-powers:0.05,0.02")
+        assert phi.inverse(1e-7) == 0.0
+        assert phi.inverse(-1e-7) == 0.0
+        x = phi.inverse(1e-6)
+        assert 0.0 < x < 1e-299
+        assert abs(phi.forward(x) - 1e-6) <= _RESIDUAL_TOL
+        # Just above phi(5e-324) the two smallest floats' images are 1.4%
+        # apart, and a miss there still raises.
+        with pytest.raises(ConvergenceError, match="missed its tolerance"):
+            phi.inverse(1.005 * phi.forward(5e-324))
+
 
 _NO_CLOSED_FORM = {"sum-powers:3,1.5", "ratio:2,0.5", "xlog", "x-log1p",
                    "bounded"}
@@ -370,6 +385,25 @@ def test_plateau_targets_get_the_smallest_reaching_float(descriptor):
     x = numeric_inverse(phi, y)
     assert np.all(phi.forward(x) >= y)
     assert np.all(phi.forward(np.nextafter(x, 0.0)) < y)
+
+
+@pytest.mark.parametrize("descriptor", CATALOG_DESCRIPTORS + ("bounded",))
+def test_rough_inverse_steers_like_the_certified_one(descriptor):
+    # The closed form where there is one; else the engine's log-log start,
+    # within 0.5% of the certified root, saturating where it saturates.
+    phi = (_bounded() if descriptor == "bounded"
+           else make_catalog_entry(descriptor))
+    z = np.concatenate((-np.geomspace(1e-6, 1e6, 50), [0.0, 2.0, 1e300],
+                        np.geomspace(1e-6, 1e6, 50)))
+    rough = _rough_inverse(phi, z)
+    exact = inverse_saturating(phi, z)
+    if phi._inverse_pos is not None:
+        assert _same_bits(rough, exact)
+    else:
+        assert np.array_equal(np.isinf(rough), np.isinf(exact))
+        assert np.array_equal(np.sign(rough), np.sign(exact))
+        finite = np.isfinite(exact)
+        assert np.allclose(rough[finite], exact[finite], rtol=5e-3, atol=0.0)
 
 
 def test_roots_do_not_depend_on_the_batch(monkeypatch):

@@ -146,6 +146,66 @@ class TestFluxConstant:
         assert abs(profile.c_star - c) <= 2.0 * np.spacing(abs(c))
         assert profile.residual <= residual
 
+    NUMERIC = [case for case in CASES if case[1]._inverse_pos is None]
+    NUMERIC_MAPS = [phi for phi in map(make_catalog_entry,
+                                       CATALOG_DESCRIPTORS)
+                    if phi._inverse_pos is None]
+    CONSTANT_FORCINGS = [GridFunction(Grid.uniform(0.0, 1.0, 129),
+                                      np.full(129, height))
+                         for height in (0.3, 1.0, 2.5)]
+
+    @pytest.mark.parametrize("index", range(len(NUMERIC)))
+    def test_root_straddles_the_sign_change(self, index):
+        # The seeded search reads F roughly at the bracket ends; whatever
+        # it returns must be certified.  Against F through phi.inverse on
+        # the cells, c and the adjacent float across the root straddle the
+        # sign change, and c has the smaller |F|, the lower c on a tie.
+        _, phi, h = self.NUMERIC[index]
+        rc = _RefinedCumulative(h.grid, h.values)
+
+        def F(c):
+            return float(np.sum(rc.integrate_cells(phi.inverse(c - rc.cell_H))))
+
+        c = solve_linear(phi, h).c_star
+        F_c = F(c)
+        if F_c < 0.0:
+            F_up = F(np.nextafter(c, np.inf))
+            assert F_up >= 0.0 and abs(F_c) <= abs(F_up)
+        else:
+            F_down = F(np.nextafter(c, -np.inf))
+            assert F_down < 0.0 and abs(F_c) < abs(F_down)
+
+    def test_certified_call_budget(self, monkeypatch):
+        # Engine calls per solve on the maps without a closed-form inverse:
+        # the bracket ends cost none, and Newton probes from the first
+        # certified evaluation land across the root.
+        calls = []
+        engine = homeomorphisms._invert_positive
+
+        def counted(*args):
+            calls.append(1)
+            return engine(*args)
+
+        monkeypatch.setattr(homeomorphisms, "_invert_positive", counted)
+
+        def count(phi, h):
+            calls.clear()
+            solve_linear(phi, h)
+            return len(calls)
+
+        for phi in self.NUMERIC_MAPS:
+            for h in self.CONSTANT_FORCINGS:
+                assert count(phi, h) <= 4, phi
+        assert np.mean([count(phi, h) for _, phi, h in self.NUMERIC]) <= 9.0
+
+    def test_underflowing_inverse_solves(self):
+        # phi^{-1} underflows to 0 for targets below phi(5e-324) = 3.4e-7,
+        # which c - H reaches next to the root.
+        phi = make_catalog_entry("sum-powers:0.05,0.02")
+        h = self.CONSTANT_FORCINGS[1]
+        profile = solve_linear(phi, h)
+        assert abs(profile.c_star - 0.5) <= 4.0 * np.spacing(0.5)
+
     def test_inverse_call_budget(self):
         calls = []
         phi = _counted_square_root_map(calls)
