@@ -1,7 +1,7 @@
 """Growth diagnostics for the catalog of odd increasing homeomorphisms.
 
 For each map phi the script fits lower and upper growth exponents from
-log-log slopes of the quotient M(t) = sup_{0<x<=1} phi(tx)/phi(x), checks
+log-log slopes of the quotient M(t) = sup_{x>0} phi(tx)/phi(x), checks
 the doubling property phi(2t) <= k phi(t), tries to certify a two-sided
 power sandwich on phi and its difference quotient, and cross-checks the
 fitted exponents against the conjugate map.  A final section shows how the

@@ -142,6 +142,7 @@ _BRACKET_REL = 1e-13
 _RESIDUAL_TOL = 1e-12
 # The smallest positive float; a target below its image has no float root.
 _SMALLEST_FLOAT = 5e-324
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def _secant_start(targets, lo, hi, f_lo, f_hi):
@@ -282,7 +283,8 @@ def _invert_positive(phi, targets, out_of_range):
     (including targets below the ladder's first image) is redone by
     ``_lane_root`` on phi(x) - y over its ladder bracket, whose upper end,
     the smallest float found with phi(x) >= y, is the root;
-    ``ConvergenceError`` is raised if that misses the residual check.
+    ``ConvergenceError`` is raised if that misses the residual check,
+    unless the root is subnormal and its bracket is adjacent floats.
     Targets above every image on the ladder either raise
     ``UnboundedInputError`` (``out_of_range="raise"``) or come back as
     ``inf`` (``"inf"``); targets below phi(5e-324), whose roots underflow,
@@ -326,7 +328,7 @@ def _invert_positive(phi, targets, out_of_range):
         if bis.size:
             b_y, i = targets[bis], idx[bis]
             first = i == 0
-            _, b_root, _, _ = _lane_root(
+            b_lo, b_root, _, _ = _lane_root(
                 lambda x: np.asarray(forward_pos(x), dtype=float) - b_y,
                 np.where(first, 0.0, px[i - 1]), px[i],
                 np.where(first, 0.0, pv[i - 1]) - b_y, pv[i] - b_y)
@@ -338,7 +340,11 @@ def _invert_positive(phi, targets, out_of_range):
                 under = b_y < float(np.asarray(
                     forward_pos(np.array([_SMALLEST_FLOAT])), dtype=float)[0])
                 b_root[bad & under] = 0.0
-                bad &= ~under
+                # Subnormal floats may be too sparse for any of them to meet
+                # the residual; a subnormal root stands when its bracket is
+                # adjacent floats, phi(previous float) < y <= phi(root).
+                bad &= ~under & ~((b_root < _SMALLEST_NORMAL)
+                                  & (np.nextafter(b_lo, b_root) == b_root))
             if np.any(bad):
                 raise ConvergenceError(
                     "numeric inverse missed its tolerance (worst residual %g)"
@@ -397,7 +403,9 @@ def numeric_inverse(phi: Homeomorphism, y):
     still moving gets a few more sweeps first, and any other entry is redone
     by a bracketed search on its ladder bracket down to adjacent floats.
     ``ConvergenceError`` is raised if that still misses the residual check,
-    except below phi(5e-324), where the root underflows to 0.  A magnitude above the largest image on the ladder raises
+    except below phi(5e-324), where the root underflows to 0, and at a
+    subnormal root whose bracket is adjacent floats, which stands.  A
+    magnitude above the largest image on the ladder raises
     ``UnboundedInputError``.
     """
     return _evaluate(_numeric_odd_inverse(phi, "raise"), y)

@@ -4,8 +4,10 @@ The central object is the growth ratio M(t) = sup over x > 0 of
 phi(t x) / phi(x).  Its logarithmic slopes as t tends to 0 and to infinity
 are the lower and upper growth exponents; they control doubling behavior,
 two-sided power comparisons, and the limits t^q / phi(t) at both ends of
-the line.  Everything here works on fixed, documented discretizations so
-results are reproducible.
+the line.  The exponent fit, the doubling test and the power comparison
+all sample one documented span per map, ``representable_x_grid``, under
+one lane rule, so results are reproducible and depend on the map rather
+than on a fixed window.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ _GRID_POINTS = 10 ** 4
 _LN2 = math.log(2.0)
 _BIG = math.log(1e6)
 _TINY_NORMAL = float(np.finfo(float).tiny)
-# The fixed discretizations of the checks below, and the duality pass
-# threshold; each docstring states the values it uses.
-_K_MIN, _K_MAX, _FIT_POINTS = 12, 40, 12
+_HUGE = float(np.finfo(float).max)
+# The deepest shift 2^+-40 of the growth fit and the power comparison, the
+# fit's 12 shifts on each side, and the duality pass threshold; each
+# docstring states the values it uses.
+_K_MAX, _FIT_POINTS = 40, 12
 _LIMIT_K = np.arange(8, 101, dtype=float)
 _DUALITY_TOL = 0.05
 
@@ -46,21 +50,20 @@ class HypothesisVerdict(Enum):
     UNDECIDED = "undecided"
 
 
-def _dyadic_grid(lo: float, hi: float, even: bool = False) -> np.ndarray:
+def _dyadic_grid(lo: float, hi: float) -> np.ndarray:
     """Log-spaced x in [lo, hi] at m points per octave, built so that
     doubling a grid point is a shift by m indices.
 
     x_j = ldexp(block[j % m], j // m), where block holds the m points of the
-    first octave and m = ceil(10^4 / octaves), rounded up to an even number
-    when ``even`` so that half octaves are shifts too.  The grid therefore
-    has at least 10^4 points.
+    first octave and m = ceil(10^4 / octaves), so the grid has at least
+    10^4 points.
     """
     octaves = math.log2(hi) - math.log2(lo)
     m = math.ceil(_GRID_POINTS / octaves)
-    m += m % 2 if even else 0
     j = np.arange(math.floor(octaves * m) + 1)
     block = lo * 2.0 ** (np.arange(m) / m)
-    x = np.ldexp(block[j % m], j // m)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(block[j % m], j // m)
     return x[x <= hi]
 
 
@@ -78,69 +81,65 @@ def _octave_extension(x: np.ndarray, octaves: int):
         return np.ldexp(x[j % m], j // m), m
 
 
-# 190 points per octave over [1e-8, 1e8]: 10,099 points, on which every t of
-# the check's 161 half-octave steps 2^-40, ..., 2^40 is an index shift.
-_CHECK_X_GRID = _dyadic_grid(1e-8, 1e8, even=True)
-_CHECK_T_GRID = 2.0 ** np.linspace(-40.0, 40.0, 161)
-# The doubling test's x: as many log-spaced points, a decade wider each way.
-_DOUBLING_X_GRID = np.geomspace(_CHECK_X_GRID[0] / 10.0,
-                                _CHECK_X_GRID[-1] * 10.0, _CHECK_X_GRID.size)
+def _ladder_range(phi: Homeomorphism):
+    """Where phi's decade probe ladder is finite and positive, from no
+    lower than the smallest normal float: below it x itself is quantized,
+    and for an inverse map so are the targets it inverts."""
+    px, _ = phi._probe_ladder()
+    return max(float(px[0]), _TINY_NORMAL), float(px[-1])
 
 
 def representable_x_grid(phi: Homeomorphism) -> np.ndarray:
-    """Dyadic grid (see ``_dyadic_grid``) spanning the octaves where phi is
-    finite and positive, starting no lower than the smallest normal float:
-    below it x itself is quantized, and for an inverse map so are the
-    targets it inverts.
+    """The one span the growth layer samples: the dyadic grid (see
+    ``_dyadic_grid``) over ``_ladder_range(phi)`` widened by one decade on
+    each side and clipped to [smallest normal float, largest float], so
+    the lanes ``_lane_rule`` keeps run on to where phi leaves the normal
+    range rather than stop at the last probe."""
+    lo, hi = _ladder_range(phi)
+    return _dyadic_grid(max(lo / 10.0, _TINY_NORMAL), min(hi * 10.0, _HUGE))
 
-    Raises ``UnboundedInputError`` when that range spans fewer than the 40
-    octaves by which the growth fit shifts x: past it every ratio is lost.
-    """
-    px, _ = phi._probe_ladder()
-    lo, hi = max(float(px[0]), _TINY_NORMAL), float(px[-1])
+
+def _fit_grid(phi: Homeomorphism) -> np.ndarray:
+    """``representable_x_grid(phi)``, or ``UnboundedInputError`` when
+    ``_ladder_range(phi)`` spans fewer than the 40 octaves by which the
+    growth fit shifts x: past it every ratio is lost."""
+    lo, hi = _ladder_range(phi)
     if not math.log2(hi) - math.log2(lo) >= _K_MAX:
         raise UnboundedInputError(
             "%s is finite and positive only on [%g, %g], fewer than the %d "
             "octaves the growth fit needs" % (phi.label, lo, hi, _K_MAX))
-    return _dyadic_grid(lo, hi)
+    return representable_x_grid(phi)
+
+
+def _lane_rule(vals: np.ndarray) -> np.ndarray:
+    """vals with NaN where a value of phi is not finite and normal.
+
+    A lane of phi(t x) / phi(x) is kept when both factors pass, so the
+    quotient is NaN exactly on dropped lanes: a value that overflowed or
+    underflowed reflects float range, not the map, and a subnormal one can
+    inflate a ratio by a factor of two.  A quotient of two kept factors
+    that overflows or underflows is evidence about the map, and stays.
+    """
+    return np.where(np.isfinite(vals) & (vals >= _TINY_NORMAL), vals, np.nan)
 
 
 def growth_ratio(phi: Homeomorphism, t: float) -> float:
-    """Largest value of phi(t x) / phi(x) sampled on
-    ``representable_x_grid(phi)``; equals 1 at t = 1.
+    """Largest value of phi(t x) / phi(x) over the lanes ``_lane_rule``
+    keeps on ``representable_x_grid(phi)``; equals 1 at t = 1.
 
-    Lanes whose numerator is not finite are dropped (they reflect float
-    range, not the map), and so are lanes where either factor lands in the
-    subnormal range, where quantization can inflate a ratio by a factor of
-    two and poison the supremum.  A ratio that overflows with both factors
-    finite and normal is kept as inf, since it is genuine evidence of an
-    escaping supremum.  Returns inf when no lane is usable at all.
+    Returns inf when no lane is kept.  Raises ``UnboundedInputError``, as
+    ``estimate_indices`` does, when phi's ladder range spans fewer than 40
+    octaves.
     """
     t = float(t)
     if not (t > 0.0 and np.isfinite(t)):
         raise ValueError("growth ratio needs a positive finite t")
-    x = representable_x_grid(phi)
-    return _sampled_ratio(phi, t, x, np.asarray(phi.forward(x), dtype=float))
-
-
-def _sampled_ratio(phi: Homeomorphism, t: float, x: np.ndarray,
-                   den: np.ndarray) -> float:
-    """``growth_ratio`` on a dyadic grid x, given den = phi(x)."""
+    x = _fit_grid(phi)
     with np.errstate(over="ignore"):
-        num, den = _lane_rule(np.asarray(phi.forward(t * x), dtype=float),
-                              den)
-        sup = float(np.fmax.reduce(num / den))
+        sup = float(np.fmax.reduce(
+            _lane_rule(np.asarray(phi.forward(t * x), dtype=float))
+            / _lane_rule(np.asarray(phi.forward(x), dtype=float))))
     return math.inf if math.isnan(sup) else sup
-
-
-def _lane_rule(num: np.ndarray, den: np.ndarray):
-    """num and den with NaN on the entries ``growth_ratio`` drops: a
-    numerator that is not finite or is subnormal, and a denominator that is
-    not finite and normal.  Their quotient is NaN exactly on dropped lanes."""
-    with np.errstate(invalid="ignore"):
-        return (np.where(np.isfinite(num)
-                         & ((num == 0.0) | (num >= _TINY_NORMAL)), num, np.nan),
-                np.where(np.isfinite(den) & (den >= _TINY_NORMAL), den, np.nan))
 
 
 def _escaping_sup(x: np.ndarray, quotient: np.ndarray) -> float:
@@ -167,27 +166,34 @@ def _escaping_sup(x: np.ndarray, quotient: np.ndarray) -> float:
     return sup if sup <= 2.0 * inner else math.inf
 
 
-def _dyadic_ratios(phi: Homeomorphism, grid: np.ndarray, ks) -> np.ndarray:
-    """``_sampled_ratio`` at t = 2^k for each integer k in ks, |k| <= 40, on
-    a dyadic grid, all read from one evaluation of phi on the grid extended
-    by 40 octaves on each side; at k > 0 an escaping supremum
-    (``_escaping_sup``) reads inf.  Below t = 1 the ratio of an increasing
-    map is at most 1, and nothing escapes.
-
-    ``_lane_rule`` is applied once to that evaluation, so each ratio is one
-    division into a reused buffer and NaN-skipping maxima over its slices,
-    and a shift with no lane left reads inf.
+def _octave_quotients(phi: Homeomorphism, grid: np.ndarray, ks):
+    """Yield phi(2^k x) / phi(x) on a dyadic grid for each integer k in ks,
+    NaN on the lanes ``_lane_rule`` drops, from one evaluation of phi on the
+    grid extended by max |k| octaves on each side.  Each is one division
+    into a reused buffer, under the caller's ``np.errstate``.
     """
-    ext, m = _octave_extension(grid, _K_MAX)
-    vals = np.asarray(phi.forward(ext), dtype=float)
+    reach = max(abs(int(k)) for k in ks)
+    ext, m = _octave_extension(grid, reach)
+    vals = _lane_rule(np.asarray(phi.forward(ext), dtype=float))
     n = grid.size
-    num, den = _lane_rule(vals, vals[_K_MAX * m:_K_MAX * m + n])
-    sups = np.empty(len(ks))
+    den = vals[reach * m:reach * m + n]
     quotient = np.empty(n)
+    for k in ks:
+        start = (reach + int(k)) * m
+        yield np.divide(vals[start:start + n], den, out=quotient)
+
+
+def _dyadic_ratios(phi: Homeomorphism, grid: np.ndarray, ks) -> np.ndarray:
+    """The largest sampled ratio at t = 2^k for each integer k in ks, from
+    ``_octave_quotients``; a shift with no lane left reads inf.
+
+    At k > 0 an escaping supremum (``_escaping_sup``) reads inf.  Below
+    t = 1 the ratio of an increasing map is at most 1, and nothing escapes.
+    """
+    sups = np.empty(len(ks))
     with np.errstate(over="ignore"):
-        for j, k in enumerate(ks):
-            start = (_K_MAX + int(k)) * m
-            np.divide(num[start:start + n], den, out=quotient)
+        for j, (k, quotient) in enumerate(
+                zip(ks, _octave_quotients(phi, grid, ks))):
             sups[j] = (_escaping_sup(grid, quotient) if k > 0
                        else np.fmax.reduce(quotient))
     sups[np.isnan(sups)] = math.inf
@@ -225,30 +231,27 @@ def _ls_slope(x: np.ndarray, y: np.ndarray):
 def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     """Estimate both growth exponents from dyadic samples of the growth ratio.
 
-    The ratio is sampled at t = 2^-k for k = 12, ..., 40 and at t = 2^k for
-    k = 29, ..., 40, each on the dyadic ``representable_x_grid`` (at least
-    10^4 log-spaced x over the octaves where phi is finite and positive).
-    Since t x is that grid shifted by k octaves, phi is evaluated once, on
-    the grid extended by 40 octaves on each side, and every ratio is read
-    from slices of it.  The lower exponent is the least-squares slope of
-    ln M(t) against ln t over the deepest 12 values of t = 2^-k; the upper
+    The ratio is sampled at t = 2^-k and t = 2^k for k = 29, ..., 40, on
+    the dyadic ``representable_x_grid`` (at least 10^4 log-spaced x) under
+    ``growth_ratio``'s lane rule, all from one evaluation of phi
+    (``_octave_quotients``).  The lower exponent is the least-squares slope
+    of ln M(t) against ln t over the 12 values of t = 2^-k; the upper
     exponent is fitted the same way over the 12 values of t = 2^k, and is
     reported as inf when one of them escapes (``_escaping_sup``, the rule
     ``check_delta2`` applies too), which signals faster-than-power growth;
     a power map of exponent 25.6 or more escapes because its M(2^40)
     overflows.  A lower slope under 0.02 is snapped to exactly 0:
     at that size it is indistinguishable from the logarithmic corrections
-    of a zero-exponent map.
+    of a zero-exponent map, so power:0.02 reads 0 while power:0.05 reads
+    0.05.
 
-    Each sample keeps only the lanes of ``growth_ratio``'s rule.  Raises
-    ``UnboundedInputError``, naming the t, when a small-t sample underflows
-    to 0 (power maps of exponent 27 and up do by t = 2^-40): the lower
-    fit needs every logarithm finite.
+    Raises ``UnboundedInputError`` when phi's ladder range spans fewer
+    than 40 octaves, and, naming the t, when a fitted small-t sample
+    underflows to 0 (power maps of exponent 27 and up do by t = 2^-40):
+    the lower fit needs every logarithm finite.
     """
-    ks = np.arange(_K_MIN, _K_MAX + 1)
-    fit_ks = ks[-_FIT_POINTS:]
-    ratios = _dyadic_ratios(phi, representable_x_grid(phi),
-                            np.concatenate((-ks, fit_ks)))
+    ks = np.arange(_K_MAX - _FIT_POINTS + 1, _K_MAX + 1)
+    ratios = _dyadic_ratios(phi, _fit_grid(phi), np.concatenate((-ks, ks)))
     m_small, m_large = ratios[:ks.size], ratios[ks.size:]
     lost = np.flatnonzero(m_small == 0.0)
     if lost.size:
@@ -257,21 +260,19 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
             "growth fit needs it positive down to t = 2^-%d"
             % (phi.label, ks[lost[0]], _K_MAX))
 
-    ln_t_small = -ks * _LN2
-    alpha_raw, alpha_rms = _ls_slope(ln_t_small[-_FIT_POINTS:],
-                                     np.log(m_small[-_FIT_POINTS:]))
+    alpha_raw, alpha_rms = _ls_slope(-ks * _LN2, np.log(m_small))
     alpha_hat = 0.0 if alpha_raw < 0.02 else alpha_raw
 
     if np.all(np.isfinite(m_large)):
-        beta_hat, beta_rms = _ls_slope(fit_ks * _LN2, np.log(m_large))
+        beta_hat, beta_rms = _ls_slope(ks * _LN2, np.log(m_large))
     else:
         beta_hat, beta_rms = math.inf, 0.0
 
     return IndexEstimate(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
-        t_small_range=(2.0 ** (-_K_MAX), 2.0 ** (-_K_MIN)),
-        t_large_range=(2.0 ** int(fit_ks[0]), 2.0 ** _K_MAX),
+        t_small_range=(2.0 ** -_K_MAX, 2.0 ** -int(ks[0])),
+        t_large_range=(2.0 ** int(ks[0]), 2.0 ** _K_MAX),
         fit_residual=max(alpha_rms, beta_rms),
     )
 
@@ -285,24 +286,20 @@ def check_delta2(phi: Homeomorphism) -> Delta2Result:
     """Test the doubling condition phi(2x) <= k phi(x).
 
     The doubling constant is the supremum of phi(2x) / phi(x) over the lanes
-    ``growth_ratio`` keeps (a numerator that overflows or is subnormal, or a
-    denominator that is not finite and normal, is dropped), sampled on the
-    10,099 log-spaced x of ``_DOUBLING_X_GRID`` over about [1e-9, 1e9].  The
-    condition holds when that supremum does not escape
+    ``growth_ratio`` keeps (both factors finite and normal) on
+    ``representable_x_grid(phi)``, read by ``_dyadic_ratios`` at t = 2 from
+    one evaluation of phi on that grid extended by one octave on each side.
+    The condition holds when that supremum does not escape
     (``_escaping_sup``, the rule of the growth fit): it must be finite and
     within a factor of two of its value over the kept span pulled in by two
     octaves at both ends.  That catches expm1 and expm1(sqrt x), whose
     ratios climb to about 3e153 and 2e90 where phi(2x) overflows, and
     exp(-1/sqrt x), whose ratio climbs to 9e89 where phi(x) leaves the
     normal range; a power map keeps its constant 2^r over the whole kept
-    span, which is more than four octaves up to r = 408.  ``k_hat`` is the
+    span, which is more than four octaves up to r = 409.  ``k_hat`` is the
     constant, and inf when the condition fails.
     """
-    with np.errstate(over="ignore"):
-        num, den = _lane_rule(
-            np.asarray(phi.forward(2.0 * _DOUBLING_X_GRID), dtype=float),
-            np.asarray(phi.forward(_DOUBLING_X_GRID), dtype=float))
-        k_hat = _escaping_sup(_DOUBLING_X_GRID, num / den)
+    k_hat = float(_dyadic_ratios(phi, representable_x_grid(phi), [1])[0])
     return Delta2Result(holds=k_hat < math.inf, k_hat=k_hat)
 
 
@@ -326,11 +323,11 @@ def check_phi_conditions(phi: Homeomorphism,
 
         min(t^p, t^q) phi(x) / C  <=  phi(t x)  <=  C max(t^p, t^q) phi(x)
 
-    over the sampled pairs: t = 2^j for 161 values of j evenly spaced in
-    [-40, 40], and the 10,099 log-spaced x of the dyadic check grid over
-    [1e-8, 1e8] (190 per octave).  Each t x is that grid shifted by 2j
-    half octaves, so phi is evaluated once, on the grid extended by 40
-    octaves on each side, and the pairs are taken one t at a time.
+    over the sampled pairs: t = 2^j for the 81 integers j in [-40, 40],
+    and the x of ``representable_x_grid(phi)``, keeping the lanes of
+    ``growth_ratio``'s rule (both factors finite and normal).  Each t x is
+    that grid shifted by j octaves, so phi is evaluated once
+    (``_octave_quotients``) and the pairs are taken one t at a time.
     Success returns the comparison pair as descriptor strings; a zero lower
     estimate or an unbounded upper one reports failure immediately, since
     no power pair can work, and so does a sampled ratio that is not finite
@@ -350,24 +347,18 @@ def check_phi_conditions(phi: Homeomorphism,
                                   math.nan, math.nan)
     p = a - 0.05
     q = b + 0.05
-    t = _CHECK_T_GRID
-    reach = 40  # octaves: t runs from 2^-40 to 2^40
-    n = _CHECK_X_GRID.size
-    ext, m = _octave_extension(_CHECK_X_GRID, reach)
-    vals = np.asarray(phi.forward(ext), dtype=float)
-    den = vals[reach * m:reach * m + n]
-    ratio = np.empty(n)
+    js = np.arange(-_K_MAX, _K_MAX + 1)
+    t = 2.0 ** js
     c_upper = c_lower = -math.inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         lo_unit = np.minimum(t ** p, t ** q)
         hi_unit = np.maximum(t ** p, t ** q)
-        for j in range(t.size):
-            # t[j] = 2^(j/2 - reach): the check grid shifted by j half
-            # octaves.  Correctly rounded division is monotone, so the
-            # largest ratio / hi and lo / ratio come from the extremes.
-            start = j * (m // 2)
-            np.divide(vals[start:start + n], den, out=ratio)
-            r_min, r_max = ratio.min(), ratio.max()
+        for j, ratio in enumerate(
+                _octave_quotients(phi, representable_x_grid(phi), js)):
+            # Correctly rounded division is monotone, so the largest
+            # ratio / hi and lo / ratio come from the extremes.  A shift
+            # with no lane kept reads NaN and fails too.
+            r_min, r_max = np.fmin.reduce(ratio), np.fmax.reduce(ratio)
             if not (r_min > 0.0 and r_max < math.inf):
                 return PhiConditionReport(False, None, None, False,
                                           math.inf, p, q)

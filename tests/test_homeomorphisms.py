@@ -243,10 +243,23 @@ class TestInversion:
         x = phi.inverse(1e-6)
         assert 0.0 < x < 1e-299
         assert abs(phi.forward(x) - 1e-6) <= _RESIDUAL_TOL
-        # Just above phi(5e-324) the two smallest floats' images are 1.4%
-        # apart, and a miss there still raises.
+
+    def test_subnormal_root_certified_by_its_bracket(self):
+        # Just above phi(5e-324) the smallest floats' images are over 0.5%
+        # apart, so no root meets the residual; the smallest float whose
+        # image reaches y stands, with the float below it short of y.
+        phi = make_catalog_entry("sum-powers:0.05,0.02")
+        for y in (3.5e-7, 1.005 * phi.forward(5e-324)):
+            x = phi.inverse(y)
+            assert 0.0 < x < np.finfo(float).tiny
+            assert phi.forward(np.nextafter(x, 0.0)) < y <= phi.forward(x)
+
+    def test_miss_in_the_normal_range_still_raises(self):
+        # A jump from 1 to 2 at x = 1 leaves y = 1.5 without a root; the
+        # bracket closes on adjacent normal floats and the residual fails.
+        phi = Homeomorphism("jump", lambda y: np.where(y < 1.0, y, y + 1.0))
         with pytest.raises(ConvergenceError, match="missed its tolerance"):
-            phi.inverse(1.005 * phi.forward(5e-324))
+            phi.inverse(1.5)
 
 
 _NO_CLOSED_FORM = {"sum-powers:3,1.5", "ratio:2,0.5", "xlog", "x-log1p",

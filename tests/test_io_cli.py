@@ -349,12 +349,24 @@ class TestCli:
         assert report["phi_cond"]["holds"] is True
         assert report["duality"]["passed"] is True
 
-    def test_indices_steep_power_passes(self, tmp_path):
-        # M(2^40) = 2^480 is a power ratio, not an escaping one.
-        assert main(["indices", "power:12", "--out-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("entry", ["power:12", "power:20"])
+    def test_indices_steep_power_passes(self, entry, tmp_path):
+        # M(2^40) = 2^(40 r) is a power ratio, not an escaping one, and the
+        # sandwich drops the lanes where t x or x leave the normal range.
+        assert main(["indices", entry, "--out-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "indices.json").read_text())
-        assert report["beta_hat"] == pytest.approx(12.0, rel=1e-9)
+        r = float(entry.partition(":")[2])
+        assert report["beta_hat"] == pytest.approx(r, rel=1e-9)
         assert report["phi_cond"]["holds"] is True
+        assert report["phi_cond"]["constant"] == 1.0
+        assert report["duality"]["passed"] is True
+
+    def test_indices_with_subnormal_inverse_roots_passes(self, tmp_path):
+        # The inverse map's fit inverts targets whose roots are subnormal;
+        # it once stopped with "numeric inverse missed its tolerance".
+        assert main(["indices", "sum-powers:0.05,0.02",
+                     "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "indices.json").read_text())
         assert report["duality"]["passed"] is True
 
     def test_parser_built_once_and_reused(self, tmp_path):
@@ -430,7 +442,7 @@ class TestCli:
         assert main(["indices", "power:40", "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: the growth ratio of power:40 underflows to 0 at "
-            "t = 2^-27; the growth fit needs it positive down to t = 2^-40"]
+            "t = 2^-29; the growth fit needs it positive down to t = 2^-40"]
         assert not (tmp_path / "indices.json").exists()
 
     def test_infinite_s_max_exits_one(self, tmp_path, capsys):
