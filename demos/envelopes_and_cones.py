@@ -3,8 +3,11 @@
 Three bound chains come with every solve of a nonnegative forcing:
 
   * an envelope sandwich: theta * B * delta(x) <= u(x) <= phi^{-1}(total
-    mass) * delta(x), with delta the distance to the boundary and B the
-    smaller one-sided integral around the support midpoint of h;
+    mass) * delta(x), with delta the distance to the boundary and B a
+    lower Riemann sum of the smaller one-sided integral of phi^{-1} of the
+    mass around the support midpoint of h: equal cells, each read at its
+    end nearer the midpoint through the certified inverse, and the sum
+    shaved by a relative 1e-12, so B never exceeds the integral;
   * a cone bound: u(x) >= theta * ||u|| * delta(x), which pins the whole
     profile once its peak is known;
   * a comparison constant c with min one-sided integral of

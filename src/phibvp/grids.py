@@ -134,16 +134,6 @@ def cumulative_trapezoid_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    """Trapezoid-rule weights on the increasing ``points``: w @ values is
-    the trapezoid integral of the samples there."""
-    dx = np.diff(points)
-    w = np.zeros_like(points)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
 def _cell_trapezoids(samples: np.ndarray, sub_widths: np.ndarray) -> np.ndarray:
     """Composite trapezoid per cell: row i of ``samples`` holds equispaced
     samples across cell i, ``sub_widths[i]`` apart, ends included."""

@@ -22,24 +22,24 @@ comparison constant c with
     min of the two one-sided integrals of phi^{-1}(M * mass) >= c phi^{-1}(cM)
 
 at every M of a grid and of its tenfold refinement.  The left-hand side
-is a lower Riemann sum through an inverse table below phi^{-1}, on cells
-cut at the grid nodes and the support midpoint, or finer where that
-leaves a side fewer than 128 cells: the integrand falls toward the
+and the lower bound on the solution's peak are one lower Riemann sum, on
+equal cells either side of the support midpoint, as many as the grid
+cells a side spans and at least 128: the integrand falls toward the
 midpoint from a and rises from it toward b, so the value at each cell's
 end nearer the midpoint is the cell's smallest, and the sum is at most
-the integral.
+the integral.  The left-hand side reads an inverse table below phi^{-1};
+the peak's bound takes M = 1 through the certified inverse, shaved by a
+relative 1e-12 for the inverse's certificate and the rounding.
 The largest such c on each M comes from a monotone forward equation, with
 no inverse evaluations; c is the smallest of them, shaved by 0.999 and
 checked once.  A bound chain runs several of these on one forcing, and
 each of them reads one certificate per forcing, kept in a one-entry memo:
 the support data, the distance to the boundary, the refined cumulative of
-h (shared with that of max(h, 0) when h >= 0), the one-sided partition
-around the support midpoint, the exact bracket (the smaller one-sided
-integral of phi^{-1} of the mass), the cells of the lower sum, the inverse
-table with the left-hand sides by M grid, and the last solution.  Each
-piece is built on first use.  The memo holds one map and one forcing at a
-time (per thread), and every result equals a fresh computation bit for
-bit.
+h (shared with that of max(h, 0) when h >= 0), the cells of the lower
+sum, the peak's bound, the inverse table with the left-hand sides by M
+grid, and the last solution.  Each piece is built on first use.  The memo
+holds one map and one forcing at a time (per thread), and every result
+equals a fresh computation bit for bit.
 """
 
 from __future__ import annotations
@@ -54,15 +54,19 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError, UnboundedInputError
 from .grids import (Grid, GridFunction, SupportData, _cell_trapezoids,
-                    _trapezoid_weights, cumulative_trapezoid_values,
-                    dist_to_boundary, require_same_grid, support_data)
+                    cumulative_trapezoid_values, dist_to_boundary,
+                    require_same_grid, support_data)
 from .homeomorphisms import (Homeomorphism, _InverseTable, _lane_root,
                              _rough_inverse, inverse_saturating)
 
 DEFAULT_TOL = 1e-10
 _REFINE = 16
-# Fewest cells on each side of the comparison's lower sum.
+# Fewest cells on each side of the bound chain's lower sum.
 _LOWER_SUM_CELLS = 128
+# Relative shave of the sup-norm bound's lower sum.  It covers the numeric
+# engine's 1e-13 x-side certificate, the few-ulp error of the closed-form
+# inverses and the rounding of the sum.
+_BRACKET_SHAVE = 1e-12
 # Absolute slack ``monotone_check`` allows between the two solutions.
 _MONOTONE_SLACK = 1e-8
 # Most certified probes that seed the flux search before ``_lane_root``.
@@ -98,12 +102,11 @@ class _RefinedCumulative:
 
     Within each grid cell the cumulative of the linear interpolant is an
     exact quadratic; sampling it on ``_REFINE`` uniform subintervals per
-    cell gives a fine partition on which all downstream quadratures agree
-    with the plain nodal trapezoid rule at the nodes themselves.
+    cell gives the fine partition of the solve, on which the cumulative
+    agrees with the plain nodal trapezoid rule at the nodes themselves.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        x = grid.nodes
         v = np.asarray(values, dtype=float)
         w = grid.cell_widths
         node_H = cumulative_trapezoid_values(grid, v)
@@ -113,17 +116,13 @@ class _RefinedCumulative:
         slope = (v[1:] - v[:-1]) / w
         cell_H = node_H[:-1, None] + v[:-1, None] * offs + 0.5 * slope[:, None] * offs ** 2
         cell_H[:, -1] = node_H[1:]
-        cell_x = x[:-1, None] + offs
-        cell_x[:, -1] = x[1:]
 
         self.grid = grid
         self.values = v
         self.node_H = node_H
         self.slope = slope
         self.cell_H = cell_H
-        self.cell_x = cell_x
         self.sub_w = w / _REFINE
-        self.fine_x = np.concatenate(([x[0]], cell_x[:, 1:].ravel()))
         self.fine_H = np.concatenate(([0.0], cell_H[:, 1:].ravel()))
 
     def value_at(self, x):
@@ -137,20 +136,6 @@ class _RefinedCumulative:
     def integrate_cells(self, g_cells: np.ndarray) -> np.ndarray:
         """Composite trapezoid of fine samples, one integral per cell."""
         return _cell_trapezoids(g_cells, self.sub_w)
-
-    def split(self, x_mid: float):
-        """The cumulative at ``x_mid`` and the fine points and cumulative
-        values covering [a, x_mid] and [x_mid, b], with ``x_mid`` an end of
-        both: ``(H_mid, (pts_l, H_l), (pts_r, H_r))``.  A fine node keeps
-        its stored value; any other point is evaluated once."""
-        x, H = self.fine_x, self.fine_H
-        k = int(np.searchsorted(x, x_mid, side="left"))
-        if k < x.size and x[k] == x_mid:
-            return H[k], (x[:k + 1], H[:k + 1]), (x[k:], H[k:])
-        H_mid = float(self.value_at(x_mid))
-        return (H_mid, (np.append(x[:k], x_mid), np.append(H[:k], H_mid)),
-                (np.concatenate(([x_mid], x[k:])),
-                 np.concatenate(([H_mid], H[k:]))))
 
 
 def solve_linear(phi: Homeomorphism, h: GridFunction,
@@ -323,7 +308,10 @@ def sup_norm_lower_bound(phi: Homeomorphism, h: GridFunction) -> float:
 
     The solution's peak dominates its value at the midpoint of the support
     of h, which in turn dominates the smaller of the two one-sided integrals
-    of phi^{-1} of the accumulated mass.
+    of phi^{-1} of the accumulated mass.  The bound is the comparison's
+    lower sum on its equal cells at M = 1, through the certified
+    ``phi.inverse`` and shaved by a relative 1e-12, so it is at most that
+    integral by construction.
     """
     return _certificate(phi, h).bracket
 
@@ -336,8 +324,9 @@ def envelope_bounds(phi: Homeomorphism, h: GridFunction):
         lower = theta_under * min(one-sided integrals) * delta
         upper = phi^{-1}(total mass of h) * delta
 
-    where delta is the distance to the boundary.  The solution of the
-    problem with forcing h lies between them at every node.
+    where delta is the distance to the boundary and the minimum is
+    ``sup_norm_lower_bound``'s lower sum.  The solution of the problem with
+    forcing h lies between them at every node.
     """
     cert = _certificate(phi, h)
     lower_scale = cert.support.theta_under * cert.bracket
@@ -370,36 +359,25 @@ def cone_lower_bound(phi: Homeomorphism, h: GridFunction,
     return _in_cone(u, cert.delta, cert.support.theta_under, slack)
 
 
-def _lower_sum_cells(rc, pts, H, H_mid, sign):
+def _lower_sum_cells(rc, end, x_mid, H_mid, sign):
     """The cells of a one-sided lower sum: ``(widths, d, reach)``, each
     cell's width and its mass difference d = max(sign * (H - H_mid), 0) at
     its end nearer theta_bar, and d at the boundary, the largest.
 
-    ``pts`` and ``H`` are ``rc``'s split points and cumulative on one side,
-    from the boundary to theta_bar, so that d falls along them; ``sign`` is
-    -1 on [a, theta_bar] and +1 on [theta_bar, b].  The cells are cut at
-    every ``step``-th split point from the boundary and at theta_bar:
-    ``step`` is ``_REFINE``, which cuts at the grid nodes, halved while the
-    side would have fewer than ``_LOWER_SUM_CELLS`` cells.  A side with
-    fewer split points than that is cut into ``_LOWER_SUM_CELLS`` equal
-    cells, with H from the exact cumulative.  A side's sum falls short of
-    its integral by at most its widest cell times its largest value, so a
-    coarse grid or a short side loses no fixed share of the integral; the
-    cell that ends at theta_bar counts 0.
+    [end, x_mid] is cut into equal cells, as many as the grid cells it
+    spans and at least ``_LOWER_SUM_CELLS``, with H from ``rc``'s exact
+    cumulative; ``end`` is a or b and ``sign`` is -1 on [a, theta_bar] and
+    +1 on [theta_bar, b], so that d falls from ``end`` toward x_mid.  A
+    side's sum falls short of its integral by at most its widest cell times
+    its largest value, so a coarse grid or a short side loses no fixed
+    share of the integral; the cell that ends at theta_bar counts 0.
     """
-    m = pts.size - 1
-    if m < _LOWER_SUM_CELLS:
-        ends = H[[0, -1]]
-        pts = np.linspace(pts[0], pts[-1], _LOWER_SUM_CELLS + 1)
-        H = rc.value_at(pts)
-        H[[0, -1]] = ends
-    else:
-        step = _REFINE
-        while m < _LOWER_SUM_CELLS * step:
-            step //= 2
-        keep = np.append(np.arange(0, m, step), m)
-        pts, H = pts[keep], H[keep]
-    d = np.maximum(sign * (H - H_mid), 0.0)
+    nodes = rc.grid.nodes
+    lo, hi = sorted((end, x_mid))
+    spanned = int(np.searchsorted(nodes, hi, side="left")
+                  - np.searchsorted(nodes, lo, side="right")) + 1
+    pts = np.linspace(end, x_mid, max(spanned, _LOWER_SUM_CELLS) + 1)
+    d = np.maximum(sign * (rc.value_at(pts) - H_mid), 0.0)
     return np.abs(np.diff(pts)), d[1:], float(d[0])
 
 
@@ -411,21 +389,18 @@ class _Certificate:
     ``support`` (support data; raises on a signed forcing), ``delta`` (the
     distance to the boundary), ``cumulative`` (the refined cumulative of h),
     ``clamped`` (that of max(h, 0), the same object when h has no negative
-    entry), ``split`` (that cumulative split at the support midpoint
-    theta_bar), ``partition`` (trapezoid weights and mass differences
-    ``(wl, dl, wr, dr)`` on the fine points either side of theta_bar),
-    ``bracket`` (min(wl @ phi^{-1}(dl), wr @ phi^{-1}(dr)) through
-    ``phi.inverse``), ``cells`` (the lower sum's cells either side of
-    theta_bar, see ``_lower_sum_cells``), the inverse table for one ceiling with the left-hand
-    sides it gave by M grid (a new ceiling replaces both), and ``solved``,
-    the ``(tol, u)`` of the last ``solve_linear``.
+    entry), ``cells`` (the lower sum's equal cells either side of the
+    support midpoint theta_bar, see ``_lower_sum_cells``), ``bracket``, the
+    inverse table for one ceiling with the left-hand sides it gave by M
+    grid (a new ceiling replaces both), and ``solved``, the ``(tol, u)`` of
+    the last ``solve_linear``.
 
-    The left-hand side on a grid of M is min(T(M dl) @ wl, T(M dr) @ wr)
-    over the cells, T the table: one table call per side for the whole
-    grid.  On [a, theta_bar] the mass difference H(theta_bar) - H(x) falls,
-    on [theta_bar, b] H(x) - H(theta_bar) rises, and T is nondecreasing and
-    below phi^{-1}.  So the value at each cell's end nearer theta_bar is
-    the least on the cell, and each side's sum is at most its integral of
+    Both bounds are ``lower_sum`` over the cells: the mass difference
+    falls toward theta_bar on either side and inv increases, so the value
+    at each cell's end nearer theta_bar is the least on the cell.  ``lhs``
+    takes inv the table, below phi^{-1}, one call per side for a whole M
+    grid; ``bracket`` takes M = 1 and the certified ``phi.inverse``, shaved
+    by a relative ``_BRACKET_SHAVE``.  Each is at most its integral of
     phi^{-1}(M * mass).
     """
 
@@ -457,46 +432,38 @@ class _Certificate:
         return _RefinedCumulative(self.h.grid, np.maximum(self.h.values, 0.0))
 
     @cached_property
-    def split(self):
-        """The clamped cumulative split at the support midpoint theta_bar."""
-        return self.clamped.split(self.support.theta_bar)
-
-    @cached_property
-    def partition(self):
-        H_mid, (pts_l, H_l), (pts_r, H_r) = self.split
-        return (_trapezoid_weights(pts_l), np.maximum(H_mid - H_l, 0.0),
-                _trapezoid_weights(pts_r), np.maximum(H_r - H_mid, 0.0))
-
-    @cached_property
-    def bracket(self) -> float:
-        wl, dl, wr, dr = self.partition
-        return min(float(wl @ self.phi.inverse(dl)),
-                   float(wr @ self.phi.inverse(dr)))
-
-    @cached_property
     def cells(self):
-        """The lower sum's cells either side of theta_bar, from ``split``:
+        """The lower sum's cells either side of theta_bar:
         ``(wl, dl, wr, dr, reach)``, each cell's width and the mass
         difference at its end nearer theta_bar, and the largest mass
         difference, the one at a or b (see ``_lower_sum_cells``)."""
-        H_mid, (pts_l, H_l), (pts_r, H_r) = self.split
-        wl, dl, reach_l = _lower_sum_cells(self.clamped, pts_l, H_l, H_mid, -1.0)
-        wr, dr, reach_r = _lower_sum_cells(self.clamped, pts_r[::-1],
-                                           H_r[::-1], H_mid, 1.0)
+        rc, theta = self.clamped, self.support.theta_bar
+        H_mid = float(rc.value_at(theta))
+        wl, dl, reach_l = _lower_sum_cells(rc, rc.grid.a, theta, H_mid, -1.0)
+        wr, dr, reach_r = _lower_sum_cells(rc, rc.grid.b, theta, H_mid, 1.0)
         return wl, dl, wr, dr, max(reach_l, reach_r)
 
+    def lower_sum(self, inverse, M):
+        """min(inverse(M dl) @ wl, inverse(M dr) @ wr) over the cells, for
+        a scalar M or, one call per side, a grid of M."""
+        wl, dl, wr, dr, _ = self.cells
+        return np.minimum(inverse(np.multiply.outer(M, dl)) @ wl,
+                          inverse(np.multiply.outer(M, dr)) @ wr)
+
+    @cached_property
+    def bracket(self) -> float:
+        value = float(self.lower_sum(self.phi.inverse, 1.0))
+        return value * (1.0 - _BRACKET_SHAVE)
+
     def lhs(self, M: np.ndarray, ceiling: float) -> np.ndarray:
-        """The comparison LHS on the grid M, with the table up to ``ceiling``:
-        one table call per side for the whole grid."""
-        wl, dl, wr, dr, reach = self.cells
+        """The comparison LHS on the grid M, with the table up to ``ceiling``."""
         if ceiling != self.ceiling:
-            self.table = _InverseTable(self.phi, ceiling * reach)
+            self.table = _InverseTable(self.phi, ceiling * self.cells[-1])
             self.ceiling = ceiling
             self.lhs_by_grid = {}
         key = M.tobytes()
         if key not in self.lhs_by_grid:
-            self.lhs_by_grid[key] = np.minimum(self.table(M[:, None] * dl) @ wl,
-                                               self.table(M[:, None] * dr) @ wr)
+            self.lhs_by_grid[key] = self.lower_sum(self.table, M)
         return self.lhs_by_grid[key]
 
 
@@ -585,11 +552,11 @@ def estimate_comparison_constant(phi: Homeomorphism, h: GridFunction,
 
     LHS(M) is the smaller of the two one-sided integrals of
     phi^{-1}(M * accumulated mass of h) around the support midpoint, taken
-    as a lower Riemann sum through an inverse table below phi^{-1}, with
-    at least 128 cells on each side, cut at the grid nodes and the midpoint
-    where the grid is that fine: each cell takes the integrand at its end
-    nearer the midpoint, where the monotone integrand is least, so LHS(M)
-    never exceeds the integral.  The largest c on each M of both grids
+    as a lower Riemann sum through an inverse table below phi^{-1}, on
+    equal cells, as many on each side as the grid cells it spans and at
+    least 128: each cell takes the integrand at its end nearer the
+    midpoint, where the monotone integrand is least, so LHS(M) never
+    exceeds the integral.  The largest c on each M of both grids
     solves a monotone forward equation (see ``_forward_root_constant``); c
     is the smallest of them, clamped into [1e-12, 1e6] and shaved by 0.999,
     which leaves room for rounding since c phi^{-1}(c M) increases with c,

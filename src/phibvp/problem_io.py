@@ -96,7 +96,7 @@ def _parse_grid_size(value, override):
             as_float = float(value)
         except (TypeError, ValueError):
             raise ProblemFileError("grid_size must be an integer") from None
-        if as_float != int(as_float):
+        if not math.isfinite(as_float) or as_float != int(as_float):
             raise ProblemFileError("grid_size must be an integer")
         value = int(as_float)
     if value < 3:

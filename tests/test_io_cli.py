@@ -415,6 +415,19 @@ class TestCli:
                      "--lambda-max", "1.0"]) == 1
         assert "lambda-min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1e999", "NaN"])
+    def test_non_finite_grid_size_exits_one(self, literal, tmp_path, capsys):
+        # json reads both, as floats that int() rejects with an
+        # OverflowError and a ValueError.
+        text = json.dumps(linear_payload(grid_size=0)).replace(
+            '"grid_size": 0', '"grid_size": ' + literal)
+        problem = tmp_path / "lin.json"
+        problem.write_text(text)
+        assert main(["solve-linear", str(problem),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid_size must be an integer"]
+
     @pytest.mark.parametrize("entry",
                              ["ratio:inf,1", "sum-powers:inf,1", "logpow:inf"])
     def test_non_finite_exponent_exits_one(self, entry, tmp_path, capsys):

@@ -312,6 +312,21 @@ class TestOrderAndEnvelopes:
         profile = solve_linear(phi, h)
         assert 0.0 < lb <= sup_norm(profile.u) + 1e-10
 
+    @pytest.mark.parametrize("A", [5.0, 20.0, 60.0])
+    @pytest.mark.parametrize("n", [3, 9, 33])
+    def test_bounds_below_the_closed_form_arcsinh_peak(self, A, n):
+        # -arcsinh(u')' = A on (0, 1) integrates to u' = sinh(A (1/2 - x)),
+        # so u(x) = (cosh(A / 2) - cosh(A (1/2 - x))) / A, even about 1/2.
+        # The convex integrand sinh puts any trapezoid rule above the peak.
+        g = Grid.uniform(0.0, 1.0, n)
+        h = GridFunction(g, np.full(n, A))
+        phi = make_catalog_entry("arcsinh")
+        peak = (math.cosh(0.5 * A) - 1.0) / A
+        assert 0.85 * peak < sup_norm_lower_bound(phi, h) <= peak
+        exact = (math.cosh(0.5 * A) - np.cosh(A * (0.5 - g.nodes))) / A
+        lower, _ = envelope_bounds(phi, h)
+        assert np.all(lower.values <= exact)
+
 
 # A tent on three nodes and a forcing at the left edge on five.
 _COARSE_FORCINGS = {"tent-3": [0.0, 1.0, 0.0], "edge-5": [1.0, 0.0, 0.0, 0.0, 0.0]}
@@ -703,16 +718,25 @@ class TestLowerSumOracle:
             inverse, H = inverses[descriptor], self._cumulative(h)
             theta = support_data(h).theta_bar
             H_mid = H(theta)
+
+            def exact(m):
+                left = quad(lambda t: inverse(m * max(H_mid - H(t), 0.0)),
+                            h.grid.a, theta, limit=200, epsabs=0.0, epsrel=1e-6)
+                right = quad(lambda t: inverse(m * max(H(t) - H_mid, 0.0)),
+                             theta, h.grid.b, limit=200, epsabs=0.0, epsrel=1e-6)
+                return min(left[0], right[0])
+
+            # The sup-norm bound is the same lower sum at M = 1 through
+            # the certified inverse.
+            oracle = exact(1.0)
+            bound = sup_norm_lower_bound(_fresh(descriptor), h)
+            assert 0.97 * oracle <= bound <= oracle
             lhs = _outside_memo(phi, h).lhs(M, M[-1])
             for m, value in zip(M, lhs):
                 if value == math.inf:
                     # sinh(M * mass) past the float range, in both.
                     continue
-                left = quad(lambda t: inverse(m * max(H_mid - H(t), 0.0)),
-                            h.grid.a, theta, limit=200, epsabs=0.0, epsrel=1e-6)
-                right = quad(lambda t: inverse(m * max(H(t) - H_mid, 0.0)),
-                             theta, h.grid.b, limit=200, epsabs=0.0, epsrel=1e-6)
-                oracle = min(left[0], right[0])
+                oracle = exact(m)
                 assert value <= oracle
                 # Where phi^{-1} grows exponentially, as sinh at large M, a
                 # cell of width w changes the integrand by a factor of about
