@@ -8,8 +8,13 @@ here with phi the identity and unit weights.  For lambda below an explicit
 threshold lambda0 the package constructs a supersolution w (a solve against
 a constant forcing, scaled so both nonlinear terms stay under it) and a
 subsolution v (a scaled solve against m delta^q, shrunk until it passes its
-verifier and slips under w).  A clamped Picard iteration started at v then
-climbs monotonically to a solution between the barriers.
+verifier and slips under w).  A clamped fixed-point iteration started at v
+then converges to a solution between the barriers.  After a first Picard
+step, each step mixes the last two solves (depth-1 Anderson mixing), so the
+iterates need not climb monotonically; when the gap between a solve and the
+point it was solved at fails to fall, the step is plain Picard and the
+mixing starts afresh.  The iteration stops when that gap falls below the
+absolute tolerance, and the returned profile is always a linear solve.
 """
 
 import numpy as np
@@ -51,7 +56,7 @@ def main():
                              history=history)
 
     print()
-    print("Picard iterates (sup norms):")
+    print("Solves of the mixed iteration (sup norms):")
     for i, norm in enumerate(history, start=1):
         marker = "  <- converged" if i == len(history) else ""
         if i <= 6 or i == len(history):

@@ -385,7 +385,7 @@ class _Certificate:
     """What the bound chain derives from one map and one forcing.
 
     ``solve_linear`` makes an entry for every forcing it solves, signed ones
-    and Picard iterates included, so every piece is built on first use:
+    and the bracketed iterates included, so every piece is built on first use:
     ``support`` (support data; raises on a signed forcing), ``delta`` (the
     distance to the boundary), ``cumulative`` (the refined cumulative of h),
     ``clamped`` (that of max(h, 0), the same object when h has no negative

@@ -4,7 +4,9 @@ The supersolution is the solved profile of a constant multiple of m + n; the
 subsolution is the solved profile of a small multiple of m times a power of
 the distance to the boundary.  Both are verified against the discrete form
 of the differential inequality.  Between an ordered verified pair, a clamped
-Picard iteration converges to a solution.  Independently, a shooting
+fixed-point iteration converges to a solution: Picard steps accelerated by
+depth-1 Anderson mixing, with a plain step whenever the gap fails to fall,
+so the iterates need not be monotone.  Independently, a shooting
 integrator turns every positive solution into a root of the terminal-defect
 map s -> u(b; s), which a scanning routine brackets and refines.  The
 integrator marches many slopes and lambda values at once, as lanes of one
@@ -33,7 +35,7 @@ from .problems import ProblemSpec, rhs, with_lambda
 
 # Largest violation (in each check's units) that the two verifiers pass.
 _VERIFY_SLACK = 1e-9
-# Picard steps ``solve_between`` takes before it gives up.
+# Steps (one linear solve each) ``solve_between`` takes before it gives up.
 _PICARD_STEPS = 200
 # Subintervals per cell of the quadrature in ``_integrated_defect``.
 _DEFECT_REFINE = 16
@@ -265,20 +267,27 @@ def make_sub_super_pair(spec: ProblemSpec) -> SubSuperPair:
 
 def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
                   tol: float = 1e-8, history: Optional[list] = None) -> SolutionProfile:
-    """Picard iteration clamped to an ordered profile pair.
+    """Clamped fixed-point iteration, with Anderson mixing, between v and w.
 
-    Each step solves the linear problem with the right-hand side evaluated
-    at the previous iterate clamped into [v, w]; the start is v itself.
-    When f and g are nondecreasing the clamp never activates and the
-    iterates increase monotonically.  Stops when the sup-norm gap between
-    consecutive iterates falls below ``tol`` and the integrated-form defect
-    (the change in the cumulative right-hand side between the last two
-    iterates) falls below 10 * tol; that defect becomes the profile's
-    residual.  ``history``, when given, collects the iterate sup-norms.
-    Raises ``ConvergenceError``, carrying the last iterate, after 200 steps.
+    G(x) solves the linear problem with the right-hand side evaluated at x
+    clamped into [v, w].  Each step solves once, at x_k, and its gap is the
+    sup norm of r_k = G(x_k) - x_k.  The first step is plain Picard from
+    x_0 = v; later ones mix the last two solves (depth-1 Anderson mixing;
+    Walker & Ni, SIAM J. Numer. Anal. 49, 2011): x_{k+1} is G(x_k) -
+    gamma (G(x_k) - G(x_{k-1})) clamped into [v, w], with gamma =
+    <r_k, dr> / <dr, dr> for dr = r_k - r_{k-1}, or plain when dr = 0.
+    When the gap has not fallen below the previous one, the step is plain
+    and the history, that gap included, is dropped, so the next step is
+    plain too.  The iterates need not be monotone, even when f and g are
+    nondecreasing.  Stops when the gap falls below ``tol`` (absolute) and
+    the integrated-form defect (the change in the cumulative right-hand
+    side from x_k to G(x_k)) below 10 * tol, and returns that G(x_k), a
+    linear solve, with the defect as its residual.  ``history``, when
+    given, collects the sup norm of every solve.  Raises
+    ``ConvergenceError``, carrying the last solve, after 200 steps.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     lo = v.u.values
     hi = w.u.values
     scale = 1.0 + float(np.max(np.abs(hi)))
@@ -291,13 +300,15 @@ def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
         clipped = np.minimum(np.maximum(values, lo), hi)
         return rhs(spec, GridFunction(grid, np.maximum(clipped, 0.0)))
 
-    current = v
-    forcing = clamped_forcing(current.u.values)
-    gap = math.inf
+    x = lo
+    forcing = clamped_forcing(x)
+    last = None  # (r, G(x), gap) of the previous solve; None after a restart
     for _ in range(_PICARD_STEPS):
         nxt = solve_linear(spec.phi, forcing)
-        gap = float(np.max(np.abs(nxt.u.values - current.u.values)))
-        next_forcing = clamped_forcing(nxt.u.values)
+        gx = nxt.u.values
+        r = gx - x
+        gap = float(np.max(np.abs(r)))
+        next_forcing = clamped_forcing(gx)
         defect = float(np.max(np.abs(
             cumulative_trapezoid_values(grid, next_forcing.values)
             - cumulative_trapezoid_values(grid, forcing.values))))
@@ -305,10 +316,21 @@ def solve_between(spec: ProblemSpec, v: SolutionProfile, w: SolutionProfile,
             history.append(sup_norm(nxt.u))
         if gap < tol and defect < 10.0 * tol:
             return replace(nxt, residual=max(nxt.residual, defect))
-        current, forcing = nxt, next_forcing
+        x, forcing = gx, next_forcing
+        if last is not None and not gap < last[2]:
+            last = None
+            continue
+        if last is not None:
+            dr = r - last[0]
+            dd = float(dr @ dr)
+            if dd > 0.0:
+                x = np.minimum(np.maximum(
+                    gx - float(r @ dr) / dd * (gx - last[1]), lo), hi)
+                forcing = clamped_forcing(x)
+        last = (r, gx, gap)
     raise ConvergenceError(
         "bracketed iteration did not converge in %d steps (gap %g)"
-        % (_PICARD_STEPS, gap), gap=gap, iterations=_PICARD_STEPS, profile=current)
+        % (_PICARD_STEPS, gap), gap=gap, iterations=_PICARD_STEPS, profile=nxt)
 
 
 _BLOWUP_STATE = 1e12

@@ -467,6 +467,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: need a finite s_max")
         assert not out.exists()
 
+    def test_infinite_tol_exits_one(self, tmp_path, capsys):
+        # Every gap falls below inf, so the first solve once came back as
+        # the solution with exit 0.
+        problem = write_file(tmp_path / "p.json",
+                             problem_payload(phi="power:2", **{"lambda": 0.8}))
+        assert main(["solve-nonlinear", problem, "--grid-size", "65",
+                     "--tol", "inf", "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "tol" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
     @pytest.mark.parametrize("cases", ["0", "-3"])
     def test_verify_bounds_without_cases_exits_two(self, cases, tmp_path,
                                                    capsys):

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
-                    Grid, GridFunction, Homeomorphism, ProblemSpec,
-                    SolutionProfile, build_subsolution, build_supersolution,
+from phibvp import (CATALOG_DESCRIPTORS, ConstructionError, FConstants,
+                    G1Constants, G2Constants, Grid, GridFunction, Homeomorphism,
+                    ProblemSpec, SolutionProfile, build_subsolution, build_supersolution,
                     make_catalog_entry, make_power, make_sub_super_pair, scan_shooting, shoot,
                     solve_between, solve_linear, sup_norm, verify_subsolution,
                     verify_supersolution, with_lambda)
@@ -15,6 +15,7 @@ from phibvp.homeomorphisms import _odd_inverse_fn
 from phibvp.nonlinear import (_BLOWUP_FLUX, _BLOWUP_STATE, _CONFIRM,
                               _REFINE_EIGHTHS, _REFINE_GRADES, _cell_means,
                               _refine_brackets, _shoot_batch)
+from phibvp.problems import rhs
 
 
 def reference_spec(lam=0.5, n_nodes=257):
@@ -45,6 +46,33 @@ def constant_rhs_spec(n_nodes=513):
     return ProblemSpec(
         grid=g, phi=make_power(1.0), m=ones, n=ones, lam=1.0, mu=1.0,
         f=lambda t: np.ones_like(t), g=lambda t: np.zeros_like(t))
+
+
+def cubic_spec(phi, lam, n_nodes=129, f=np.sqrt, c0=1.0):
+    """Unit weights, g(t) = t^3 and the given f on (0, 1): with f = sqrt(t)
+    this is the problem of every catalog map in the sandwich benchmark."""
+    g = Grid.uniform(0.0, 1.0, n_nodes)
+    ones = GridFunction(g, np.ones(n_nodes))
+    return ProblemSpec(
+        grid=g, phi=make_catalog_entry(phi), m=ones, n=ones, lam=lam, mu=1.0,
+        f=f, g=lambda t: t ** 3, f_constants=FConstants(c0, 1.0, 0.5),
+        g1_constants=G1Constants(1.0, 1.0, 3.0),
+        g2_constants=G2Constants(1.0, 1.0, 3.0))
+
+
+def plain_picard(spec, v, w, tol):
+    """Clamped Picard from v until consecutive iterates differ by less than
+    tol: the oracle for ``solve_between``, sharing none of its loop."""
+    lo, hi = v.u.values, w.u.values
+    u = lo
+    for _ in range(1000):
+        clamped = np.maximum(np.minimum(np.maximum(u, lo), hi), 0.0)
+        nxt = solve_linear(spec.phi,
+                           rhs(spec, GridFunction(spec.grid, clamped))).u.values
+        if np.max(np.abs(nxt - u)) < tol:
+            return nxt
+        u = nxt
+    raise AssertionError("plain Picard did not reach tol %g" % tol)
 
 
 def splice(pieces, take_first):
@@ -329,15 +357,46 @@ class TestSolveBetween:
         with pytest.raises(ValueError):
             solve_between(spec, pair.super, pair.sub)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_nonpositive_tol_rejected(self, tol):
-        # No gap falls below such a tol, so all 200 steps would run and end
-        # in a ConvergenceError for an iteration that did converge.
+        # No gap falls below the first three, so all 200 steps would run and
+        # end in a ConvergenceError for an iteration that did converge; every
+        # gap falls below inf, so the first solve would come back unconverged.
         spec = constant_rhs_spec(65)
         fixed = solve_linear(spec.phi, GridFunction(spec.grid,
                                                     np.ones(spec.grid.count)))
         with pytest.raises(ValueError, match="tol must be positive"):
             solve_between(spec, fixed, fixed, tol=tol)
+
+    @pytest.mark.parametrize("entry", CATALOG_DESCRIPTORS)
+    def test_matches_plain_picard_at_tight_tol(self, entry):
+        # The benchmark's sandwich problem at 0.4 lambda0: the mixed
+        # iteration at tol 1e-8 against plain Picard run to 1e-13.  Plain
+        # Picard needs 12-18 solves to reach tol 1e-8 on these problems.
+        template = cubic_spec(entry, lam=1e-9)
+        lambda0 = build_supersolution(template).lambda0
+        spec = with_lambda(template, 0.4 * lambda0)
+        pair = make_sub_super_pair(spec)
+        history = []
+        sol = solve_between(spec, pair.sub, pair.super, tol=1e-8,
+                            history=history)
+        reference = plain_picard(spec, pair.sub, pair.super, tol=1e-13)
+        assert np.max(np.abs(sol.u.values - reference)) <= 1e-8
+        assert len(history) <= 8
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.4])
+    @pytest.mark.parametrize("entry", ["power:1", "power:2", "xlog"])
+    def test_converges_with_the_clamp_active(self, entry, lam):
+        # f oscillates, so G is not monotone and the clamp binds.  Plain
+        # Picard fails to converge on power:2, and mixing without the
+        # restart cycles on power:1 and xlog.
+        spec = cubic_spec(entry, lam, c0=0.1,
+                          f=lambda t: np.sqrt(t) * (1.0 + 0.9 * np.sin(400.0 * t)))
+        pair = make_sub_super_pair(spec)
+        sol = solve_between(spec, pair.sub, pair.super)
+        assert sol.residual < 1e-6
+        assert np.all(pair.sub.u.values <= sol.u.values)
+        assert np.all(sol.u.values <= pair.super.u.values)
 
 
 class TestShooting:
