@@ -65,6 +65,8 @@ def compute_lambda1(spec: ProblemSpec, R: float):
     onset together with t2.  Returns (lambda1, rho) with rho the norm scale
     at which the balance is struck.
     """
+    if not 0.0 < R < math.inf:
+        raise ValueError("R must be positive and finite, got %g" % R)
     if spec.g1_constants is None or spec.g2_constants is None:
         raise ConstructionError("threshold computation needs both envelopes of g")
     c1, t1, r1 = spec.g1_constants
@@ -117,6 +119,8 @@ _FOLD_TOL = 1e-3
 # Bisection steps one fold pass looks ahead: the midpoints those steps may
 # visit are the lanes of one batched existence scan.
 _FOLD_DEPTH = 3
+# Fractions of the threshold at which the range below it is spot-checked.
+_SPOT_FRACS = (0.7, 0.3, 0.1, 0.03, 0.01)
 
 
 def _existence(spec_template: ProblemSpec, lams, s_max: float,
@@ -151,15 +155,26 @@ def _fold_subtree(lo, hi, tol, depth):
 def _locate_fold(spec_template: ProblemSpec, lo, hi, tol: float,
                  s_max: float, count: int):
     """Bisect a bracket whose ends are known to hold a solution (lo) and
-    none (hi), then spot-check the range below the estimate.
+    none (hi), and spot-check the range below the estimate.
 
     Each pass checks existence at every midpoint of the next
     ``_FOLD_DEPTH`` bisection steps in one batched scan and then takes
     those steps, so the estimate is that of a one-midpoint-at-a-time
-    bisection.
+    bisection.  A pass after which no midpoint can remain (the bisection
+    one step deeper has none either) also carries the spot checks, at
+    ``_SPOT_FRACS`` times its lower end: that end holds a solution and
+    lies within a relative 2^``_FOLD_DEPTH`` tol of the estimate.  When
+    the bisection ends without such a pass (a bracket already within tol
+    runs none), the spot checks at those fractions of the estimate get
+    their own scan.  Missed spots are retried together at four times the
+    slope count.
     """
+    spots = []
     while mids := _fold_subtree(lo, hi, tol, _FOLD_DEPTH):
-        exists = dict(zip(mids, _existence(spec_template, mids, s_max, count)))
+        if len(_fold_subtree(lo, hi, tol, _FOLD_DEPTH + 1)) == len(mids):
+            spots = [lo * frac for frac in _SPOT_FRACS]
+        found = _existence(spec_template, mids + spots, s_max, count)
+        exists = dict(zip(mids, found))
         for _ in range(_FOLD_DEPTH):
             mid = _next_midpoint(lo, hi, tol)
             if mid is None:
@@ -170,10 +185,10 @@ def _locate_fold(spec_template: ProblemSpec, lo, hi, tol: float,
                 hi = mid
     estimate = 0.5 * (lo + hi)
 
-    spots = [estimate * frac for frac in (0.7, 0.3, 0.1, 0.03, 0.01)]
-    missed = [lam for lam, found in
-              zip(spots, _existence(spec_template, spots, s_max, count))
-              if not found]
+    if not spots:
+        spots = [estimate * frac for frac in _SPOT_FRACS]
+        found = _existence(spec_template, spots, s_max, count)
+    missed = [lam for lam, hit in zip(spots, found[-len(spots):]) if not hit]
     for lam, found in zip(missed, _existence(spec_template, missed, s_max,
                                              4 * count)):
         if not found:
@@ -191,17 +206,20 @@ def lambda_star_bisect(spec_template: ProblemSpec, lo: float, hi: float,
     Needs a bracket: the scan must find a solution at ``lo`` and none at
     ``hi``.  Bisection narrows the bracket to relative width ``tol`` (which
     must be positive), or until its midpoint rounds onto an end; the
-    estimate is the midpoint.  The parameter range below the estimate is
-    then spot-checked for gaps at 0.7, 0.3, 0.1, 0.03 and 0.01 times the
-    estimate (a failed probe is retried with a four times denser scan
-    before being treated as fatal).  Every existence check is a scan that
-    stops at its first confirmed bracketed root.  The checks run as lambda
-    lanes of batched scans: both bracket ends at once, the midpoints of
-    three bisection steps at once, the five spot checks at once, and their
-    retries at once.
+    estimate is the midpoint.  Both ends must be finite.  The parameter
+    range below the estimate is spot-checked for gaps at 0.7, 0.3, 0.1,
+    0.03 and 0.01 times the lower end of the last bisection pass, which
+    lies within a relative 8 tol of the estimate (a failed probe is
+    retried with a four times denser scan before being treated as fatal).
+    Every existence check is a scan that stops at its first confirmed
+    bracketed root.  The checks run as lambda lanes of batched scans: both
+    bracket ends at once, the midpoints of three bisection steps at once
+    (in the last pass together with the five spot checks), and the
+    retries at once.  A bracket already within ``tol`` takes no step, and
+    its spot checks, at those fractions of the estimate, run alone.
     """
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError("need 0 < lo < hi < inf")
     if not tol > 0.0:
         raise ValueError("need tol > 0")
     at_lo, at_hi = _existence(spec_template, [lo, hi], s_max, count)
@@ -233,14 +251,15 @@ def sweep(spec_template: ProblemSpec, lambda_grid, s_max: float,
     When the solution count drops to zero and stays there, the existence
     boundary inside the last transition step is located as
     ``lambda_star_bisect`` locates it (relative width 1e-3, the same spot
-    checks), without checking again the two ends the sweep has just
-    scanned.  Interior zero-solution points (gaps) are re-tried together
-    with a four times denser scan and reported as a warning if they
-    persist.
+    checks riding in its last bisection pass), without checking again the
+    two ends the sweep has just scanned.  Interior zero-solution points
+    (gaps) are re-tried together with a four times denser scan and
+    reported as a warning if they persist.  Every lambda must be positive
+    and finite.
     """
     lams = np.sort(np.asarray(lambda_grid, dtype=float))
-    if lams.size == 0 or not np.all(lams > 0.0):
-        raise ValueError("lambda grid must be nonempty and positive")
+    if lams.size == 0 or not np.all((lams > 0.0) & (lams < math.inf)):
+        raise ValueError("lambda grid must be nonempty, positive and finite")
 
     n = spec_template.n
     points = [_branch_point(lam, found, n) for lam, found in

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -118,8 +119,8 @@ def _cmd_solve_nonlinear(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_problem(args.problem, grid_size=args.grid_size)
-    if not (0.0 < args.lambda_min < args.lambda_max):
-        raise ValueError("need 0 < --lambda-min < --lambda-max")
+    if not (0.0 < args.lambda_min < args.lambda_max < math.inf):
+        raise ValueError("need 0 < --lambda-min < --lambda-max < inf")
     lambdas = np.geomspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     diagram = sweep(spec, lambdas, s_max=args.s_max, count=args.s_count)
 
@@ -223,10 +224,14 @@ def _add_common(parser, grid_size_default=None):
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
 
 
-def _case_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError("need at least 1 case, got %d" % count)
+def _count_of(noun: str):
+    """An argparse type for a count of ``noun`` that must be at least 1."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                "need at least 1 %s, got %d" % (noun, value))
+        return value
     return count
 
 
@@ -259,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem file (JSON)")
     p.add_argument("--lambda-min", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--lambda-steps", type=int, default=12)
+    p.add_argument("--lambda-steps", type=_count_of("lambda step"),
+                   default=12)
     p.add_argument("--s-max", type=float, default=100.0,
                    help="largest initial slope to scan")
     p.add_argument("--s-count", type=int, default=60,
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-bounds",
                        help="randomized check of the discrete bound chains")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_case_count, default=50)
+    p.add_argument("--cases", type=_count_of("case"), default=50)
     _add_common(p, grid_size_default=257)
     p.set_defaults(handler=_cmd_verify_bounds)
 

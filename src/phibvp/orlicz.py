@@ -94,9 +94,15 @@ def representable_x_grid(phi: Homeomorphism) -> np.ndarray:
     ``_dyadic_grid``) over ``_ladder_range(phi)`` widened by one decade on
     each side and clipped to [smallest normal float, largest float], so
     the lanes ``_lane_rule`` keeps run on to where phi leaves the normal
-    range rather than stop at the last probe."""
-    lo, hi = _ladder_range(phi)
-    return _dyadic_grid(max(lo / 10.0, _TINY_NORMAL), min(hi * 10.0, _HUGE))
+    range rather than stop at the last probe.  Built on first use and kept,
+    read-only, on the map next to its probe ladders."""
+    x = phi._ladders.get("x_grid")
+    if x is None:
+        lo, hi = _ladder_range(phi)
+        x = _dyadic_grid(max(lo / 10.0, _TINY_NORMAL), min(hi * 10.0, _HUGE))
+        x.flags.writeable = False
+        phi._ladders["x_grid"] = x
+    return x
 
 
 def _fit_grid(phi: Homeomorphism) -> np.ndarray:

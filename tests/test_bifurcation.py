@@ -9,8 +9,9 @@ from phibvp import (ConstructionError, FConstants, G1Constants, G2Constants,
                     check_cone_membership, compute_lambda1,
                     lambda_star_bisect, make_power, scan_shooting,
                     solve_linear, sup_norm, sweep, with_lambda)
-from phibvp import bifurcation, nonlinear
-from phibvp.bifurcation import _existence, _next_midpoint
+from phibvp import ConvergenceError, bifurcation, nonlinear
+from phibvp.bifurcation import (_FOLD_DEPTH, _SPOT_FRACS, _existence,
+                                _next_midpoint)
 from phibvp.nonlinear import _scan
 
 LAMBDA_STAR = 11.398896
@@ -77,6 +78,13 @@ class TestLambda1:
         with pytest.raises(ConstructionError):
             compute_lambda1(bare, R=4.0)
 
+    @pytest.mark.parametrize("R", [math.nan, -1.0, 0.0, math.inf])
+    def test_norm_cap_must_be_positive_and_finite(self, R):
+        # A NaN or negative cap once read as "f carries no positive values
+        # below R".
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            compute_lambda1(reference_spec(), R=R)
+
     def test_dominant_g_term_is_named(self):
         # mu t^2 outgrows phi(2 t) = 2 t already at t = 1e-12.
         spec = replace(reference_spec(n_nodes=65), mu=1e30)
@@ -98,6 +106,12 @@ class TestLambdaStarBisect:
         with pytest.raises(ValueError, match="upper bracket end"):
             lambda_star_bisect(reference_spec(n_nodes=129), lo=0.5, hi=2.0,
                                s_max=100.0, count=40)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (math.nan, 2.0)])
+    def test_non_finite_bracket_rejected(self, lo, hi):
+        # An infinite hi once ended in an existence gap at lambda = inf.
+        with pytest.raises(ValueError, match="lo < hi < inf"):
+            lambda_star_bisect(reference_spec(n_nodes=129), lo, hi)
 
     def test_locates_the_fold(self):
         estimate = lambda_star_bisect(reference_spec(n_nodes=129), lo=8.0,
@@ -159,6 +173,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(reference_spec(n_nodes=129), [0.0, 1.0], s_max=10.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sweep(reference_spec(n_nodes=129), [1.0, bad], s_max=10.0)
+
     def test_infinite_s_max_rejected(self):
         # It once read as no solution at every lambda.
         with pytest.raises(ValueError, match="finite s_max > 0"):
@@ -204,6 +223,26 @@ def sequential_sweep(spec, lams):
     return points, estimate
 
 
+def patched_scans(monkeypatch, hidden_counts=()):
+    """Patch the scan to record the (lambdas, count) of every call, and to
+    report no solution at the 0.1 spot check of the ``FOLD_SWEEP`` bracket
+    at each slope count in ``hidden_counts``; returns that spot and the
+    record."""
+    spot = FOLD_SWEEP[1] * 0.1
+    scans = []
+    scan = bifurcation._scan
+
+    def hiding(spec, lams, s_max, count, stop_at_first=False):
+        found = scan(spec, lams, s_max, count, stop_at_first)
+        scans.append((list(lams), count))
+        if count not in hidden_counts:
+            return found
+        return [[] if lam == spot else sols for lam, sols in zip(lams, found)]
+
+    monkeypatch.setattr(bifurcation, "_scan", hiding)
+    return spot, scans
+
+
 class TestBatchedFold:
     # Lambda lanes change no result: every diagram and estimate is the one
     # the one-lambda-at-a-time scans and bisection give.
@@ -232,10 +271,10 @@ class TestBatchedFold:
 
     def test_fold_sweep_march_budget(self, monkeypatch):
         # Three lambda lanes per scan march, one pass for both bisection
-        # steps, one batched call for the spot checks, and refinement
-        # passes graded toward a regula-falsi estimate: at most 16 marches,
-        # where sixteen-fold narrowing per pass took 20 and one lambda at a
-        # time 57 to 60.
+        # steps that also carries the spot checks, and refinement passes
+        # graded toward a regula-falsi estimate: at most 12 marches, where
+        # a separate spot-check scan took 14, sixteen-fold narrowing per
+        # pass 20 and one lambda at a time 57 to 60.
         calls = []
         march = nonlinear._shoot_batch
 
@@ -247,7 +286,19 @@ class TestBatchedFold:
         diagram = sweep(reference_spec(n_nodes=129), FOLD_SWEEP, s_max=100.0,
                         count=60)
         assert [len(p.solutions) for p in diagram.points] == [2, 2, 0]
-        assert len(calls) <= 16
+        assert len(calls) <= 12
+
+    def test_fold_bracket_takes_two_scans(self, monkeypatch):
+        # The sweep scans its three lambdas, then one pass checks both
+        # bisection steps' midpoints and the five spot checks together;
+        # lambda_star_bisect checks the bracket ends instead of sweeping.
+        _, scans = patched_scans(monkeypatch)
+        spec = reference_spec(n_nodes=129)
+        sweep(spec, FOLD_SWEEP, s_max=100.0, count=60)
+        assert [len(lams) for lams, _ in scans if lams] == [3, 8]
+        scans.clear()
+        lambda_star_bisect(spec, *FOLD_SWEEP[1:], s_max=100.0, count=60)
+        assert [len(lams) for lams, _ in scans if lams] == [2, 8]
 
     def test_interior_gaps_are_retried_together(self, monkeypatch):
         # Hide every solution of the 60-slope scan at the middle lambdas:
@@ -272,6 +323,51 @@ class TestBatchedFold:
         assert scans == [([0.05, 0.2, 0.3, 0.5], 60), ([0.2, 0.3], 240)]
         assert [len(p.solutions) for p in diagram.points] == [2, 2, 0, 2]
         assert diagram.points[1].solutions == solutions_alone(spec, 0.2, 240)
+
+
+class TestSpotChecks:
+    # The five spot checks ride in the last bisection pass, at fractions of
+    # its lower end; a missed one is retried at four times the slopes.
+    def test_missed_spot_is_retried_with_four_times_the_slopes(
+            self, monkeypatch):
+        spot, scans = patched_scans(monkeypatch, {60})
+        lo, hi = FOLD_SWEEP[1:]
+        estimate = lambda_star_bisect(reference_spec(n_nodes=129), lo, hi,
+                                      s_max=100.0, count=60)
+        assert [count for _, count in scans] == [60, 60, 240]
+        assert spot in scans[1][0] and scans[2][0] == [spot]
+        assert estimate == sequential_fold(reference_spec(n_nodes=129),
+                                           lo, hi, 1e-3)
+
+    def test_spot_missed_at_both_counts_is_fatal(self, monkeypatch):
+        spot, _ = patched_scans(monkeypatch, {60, 240})
+        with pytest.raises(ConvergenceError,
+                           match="existence gap at lambda = %s " % ("%g" % spot)):
+            lambda_star_bisect(reference_spec(n_nodes=129), *FOLD_SWEEP[1:],
+                               s_max=100.0, count=60)
+
+    @pytest.mark.parametrize("lo, hi, tol", [(8.0, 25.0, 1e-2),
+                                             (*FOLD_SWEEP[1:], 1e-3)],
+                             ids=["wide", "bracket"])
+    def test_spots_lie_near_fractions_of_the_estimate(self, lo, hi, tol,
+                                                      monkeypatch):
+        _, scans = patched_scans(monkeypatch)
+        estimate = lambda_star_bisect(reference_spec(n_nodes=129), lo, hi,
+                                      tol=tol, s_max=100.0, count=60)
+        spots = scans[-1][0][-len(_SPOT_FRACS):]
+        for lam, frac in zip(spots, _SPOT_FRACS):
+            assert lam < lo
+            assert abs(lam - estimate * frac) \
+                <= 2.0 ** _FOLD_DEPTH * tol * estimate * frac
+
+    def test_bracket_within_tol_scans_its_spots_alone(self, monkeypatch):
+        _, scans = patched_scans(monkeypatch)
+        lo, hi = FOLD_SWEEP[1:]
+        estimate = lambda_star_bisect(reference_spec(n_nodes=129), lo, hi,
+                                      tol=1.0, s_max=100.0, count=60)
+        assert estimate == 0.5 * (lo + hi)
+        assert scans[1:] == [([estimate * f for f in _SPOT_FRACS], 60),
+                             ([], 240)]
 
 
 class TestBisectionTolerance:

@@ -10,6 +10,7 @@ from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, HypothesisVerdict,
                     check_phi_conditions, classify_limit, duality_check,
                     estimate_indices, growth_ratio, hypothesis_advisor,
                     inverse_homeomorphism, make_catalog_entry, make_power)
+from phibvp import orlicz
 from phibvp.orlicz import (_dyadic_ratios, _escaping_sup, _lane_rule,
                            _octave_extension, representable_x_grid)
 
@@ -133,6 +134,26 @@ class TestGrowthRatio:
         grid = representable_x_grid(counted)
         assert len(calls) == 2
         assert calls[1] == grid.size + 2 * reach * _octave_points(grid)
+
+    def test_span_is_built_once_per_map(self, monkeypatch):
+        # The fit and both checks of one indices run share the span, kept
+        # read-only on the map.
+        built = []
+        dyadic_grid = orlicz._dyadic_grid
+
+        def counted(lo, hi):
+            built.append((lo, hi))
+            return dyadic_grid(lo, hi)
+
+        monkeypatch.setattr(orlicz, "_dyadic_grid", counted)
+        phi = make_catalog_entry("sum-powers:3,1.5")
+        estimate = estimate_indices(phi)
+        check_delta2(phi)
+        check_phi_conditions(phi, estimate=estimate)
+        grid = representable_x_grid(phi)
+        assert len(built) == 1
+        assert not grid.flags.writeable
+        assert estimate == estimate_for("sum-powers:3,1.5")
 
     @pytest.mark.parametrize("descriptor",
                              sorted(BATTERY) + sorted(_RANGE_EDGE_MAPS))

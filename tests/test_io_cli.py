@@ -415,6 +415,32 @@ class TestCli:
                      "--lambda-max", "1.0"]) == 1
         assert "lambda-min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [("1.0", "inf"), ("inf", "inf"),
+                                        ("nan", "2.0"), ("0.5", "nan")])
+    def test_non_finite_sweep_range_exits_one(self, bounds, tmp_path,
+                                              capsys):
+        # --lambda-max inf once ended in an existence gap at lambda = inf.
+        problem = write_file(tmp_path / "p.json", problem_payload())
+        out = tmp_path / "out"
+        assert main(["sweep", problem, "--lambda-min", bounds[0],
+                     "--lambda-max", bounds[1], "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: need 0 < --lambda-min < --lambda-max < inf"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_max", ["nan", "-1"])
+    def test_bad_norm_cap_is_named_in_the_note(self, r_max, tmp_path,
+                                               capsys):
+        problem = write_file(tmp_path / "p.json", problem_payload())
+        assert main(["sweep", problem, "--grid-size", "65",
+                     "--lambda-min", "0.05", "--lambda-max", "0.5",
+                     "--lambda-steps", "2", "--s-count", "40",
+                     "--r-max", r_max, "--out-dir", str(tmp_path)]) == 0
+        assert ("lambda1 unavailable: R must be positive and finite, got %s"
+                % r_max) in capsys.readouterr().err.splitlines()
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["lambda1"] == report["rho"] == "nan"
+
     @pytest.mark.parametrize("literal", ["1e999", "NaN"])
     def test_non_finite_grid_size_exits_one(self, literal, tmp_path, capsys):
         # json reads both, as floats that int() rejects with an
@@ -486,6 +512,18 @@ class TestCli:
                   "--out-dir", str(tmp_path / "out")])
         assert info.value.code == 2
         assert "need at least 1 case" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_sweep_without_lambda_steps_exits_two(self, steps, tmp_path,
+                                                  capsys):
+        problem = write_file(tmp_path / "p.json", problem_payload())
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", problem, "--lambda-min", "0.05",
+                  "--lambda-max", "0.5", "--lambda-steps", steps,
+                  "--out-dir", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "need at least 1 lambda step" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_usage_errors_exit_two(self):
