@@ -113,13 +113,20 @@ class Homeomorphism:
 
 @functools.lru_cache(maxsize=None)
 def _probes(per_decade):
-    """The finite probes 10^(k / per_decade) from 1e-320 up, shared by every
-    map (read-only).  The decade probes end at 1e308, the fine ones at
-    10^308.25; every 16th fine probe equals its decade probe bit for bit."""
+    """The finite probes 10^(k / per_decade), shared by every map
+    (read-only).  The fine ones run from 1e-320 to 10^308.25, so the engine
+    brackets roots down in the subnormals.  The decade ones start at the
+    smallest normal float and run on from 1e-307 to 1e308: their readers
+    need no quantized x, and an inverse map's ladder then inverts no
+    subnormal target.  From 1e-307 up every 16th fine probe equals its
+    decade probe bit for bit."""
     with np.errstate(over="ignore"):
         probes = 10.0 ** (np.arange(-320 * per_decade, 309 * per_decade)
                           / per_decade)
     probes = probes[np.isfinite(probes)]
+    if per_decade == 1:
+        probes = np.concatenate(([_SMALLEST_NORMAL],
+                                 probes[probes > _SMALLEST_NORMAL]))
     probes.flags.writeable = False
     return probes
 

@@ -672,10 +672,13 @@ def _scan(spec, lams, s_max, count, stop_at_first=False):
     set it serves existence checks: a lambda's refinement ends at its first
     confirmed bracketed root, whose profile comes back alone.  A lambda
     that confirms no probe during the refinement finishes as
-    ``scan_shooting`` does."""
+    ``scan_shooting`` does.  With no lambda there is nothing to march, and
+    the result is empty."""
     if not (0.0 < s_max < math.inf and count >= 2):
         raise ValueError("need a finite s_max > 0 and count >= 2")
     lams = np.asarray(lams, dtype=float)
+    if not lams.size:
+        return []
     defect_tol = _DEFECT_TOL_REL * (spec.grid.b - spec.grid.a)
     accept_tol = _CONFIRM * defect_tol
 

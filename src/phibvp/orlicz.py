@@ -5,9 +5,12 @@ phi(t x) / phi(x).  Its logarithmic slopes as t tends to 0 and to infinity
 are the lower and upper growth exponents; they control doubling behavior,
 two-sided power comparisons, and the limits t^q / phi(t) at both ends of
 the line.  The exponent fit, the doubling test and the power comparison
-all sample one documented span per map, ``representable_x_grid``, under
+all read one documented span per map, ``representable_x_grid``, under
 one lane rule, so results are reproducible and depend on the map rather
-than on a fixed window.
+than on a fixed window.  phi is evaluated on that span once per map,
+shifted by the 40 octaves each way the checks reach (``_span_values``),
+and only at normal arguments: a subnormal argument is quantized, and for
+an inverse map so is the target it inverts.
 """
 
 from __future__ import annotations
@@ -67,26 +70,27 @@ def _dyadic_grid(lo: float, hi: float) -> np.ndarray:
     return x[x <= hi]
 
 
-def _octave_extension(x: np.ndarray, octaves: int):
-    """A dyadic grid x extended by ``octaves`` octaves on each side, and its
-    points per octave m.
+def _octave_extension(x: np.ndarray):
+    """A dyadic grid x extended by 40 octaves on each side, and its points
+    per octave m.
 
-    Entry octaves*m + i of the extension is x[i], and entry
-    (octaves + k)*m + i is x[i] * 2^k rounded once, bit for bit, at the
-    subnormal and overflow ends too.
+    Entry 40*m + i of the extension is x[i], and entry (40 + k)*m + i is
+    x[i] * 2^k rounded once, bit for bit, up to the overflow end.  Entries
+    below the smallest normal float are quantized; ``_lane_rule`` drops
+    them without evaluating phi there.
     """
     m = int(np.searchsorted(x, 2.0 * x[0]))
-    j = np.arange(-octaves * m, x.size + octaves * m)
+    j = np.arange(-_K_MAX * m, x.size + _K_MAX * m)
     with np.errstate(over="ignore"):
         return np.ldexp(x[j % m], j // m), m
 
 
 def _ladder_range(phi: Homeomorphism):
-    """Where phi's decade probe ladder is finite and positive, from no
-    lower than the smallest normal float: below it x itself is quantized,
+    """Where phi's decade probe ladder is finite and positive.  The ladder
+    starts at the smallest normal float: below it x itself is quantized,
     and for an inverse map so are the targets it inverts."""
     px, _ = phi._probe_ladder()
-    return max(float(px[0]), _TINY_NORMAL), float(px[-1])
+    return float(px[0]), float(px[-1])
 
 
 def representable_x_grid(phi: Homeomorphism) -> np.ndarray:
@@ -117,21 +121,34 @@ def _fit_grid(phi: Homeomorphism) -> np.ndarray:
     return representable_x_grid(phi)
 
 
-def _lane_rule(vals: np.ndarray) -> np.ndarray:
-    """vals with NaN where a value of phi is not finite and normal.
+def _lane_rule(phi: Homeomorphism, args: np.ndarray) -> np.ndarray:
+    """phi at the increasing ``args``, NaN where a lane is dropped.
 
     A lane of phi(t x) / phi(x) is kept when both factors pass, so the
-    quotient is NaN exactly on dropped lanes: a value that overflowed or
-    underflowed reflects float range, not the map, and a subnormal one can
-    inflate a ratio by a factor of two.  A quotient of two kept factors
-    that overflows or underflows is evidence about the map, and stays.
+    quotient is NaN exactly on dropped lanes.  A factor fails where its
+    argument is below the smallest normal float, and phi is not evaluated
+    there: the argument is quantized, and for an inverse map so is the
+    target it inverts, so its value measures the rounding, not the map.  It
+    fails too where its value is not finite and normal: a value that
+    overflowed or underflowed reflects float range, not the map, and a
+    subnormal one can inflate a ratio by a factor of two.  A quotient of
+    two kept factors that overflows or underflows is evidence about the
+    map, and stays.
     """
-    return np.where(np.isfinite(vals) & (vals >= _TINY_NORMAL), vals, np.nan)
+    vals = np.full(args.shape, np.nan)
+    first = int(np.searchsorted(args, _TINY_NORMAL))
+    if first < args.size:
+        got = np.asarray(phi.forward(args[first:]), dtype=float)
+        vals[first:] = np.where(np.isfinite(got) & (got >= _TINY_NORMAL),
+                                got, np.nan)
+    return vals
 
 
 def growth_ratio(phi: Homeomorphism, t: float) -> float:
     """Largest value of phi(t x) / phi(x) over the lanes ``_lane_rule``
-    keeps on ``representable_x_grid(phi)``; equals 1 at t = 1.
+    keeps on ``representable_x_grid(phi)``; equals 1 at t = 1.  Where t x
+    is below the smallest normal float, phi is not evaluated and the lane
+    is dropped, as in the dyadic samples of ``_octave_quotients``.
 
     Returns inf when no lane is kept.  Raises ``UnboundedInputError``, as
     ``estimate_indices`` does, when phi's ladder range spans fewer than 40
@@ -143,9 +160,22 @@ def growth_ratio(phi: Homeomorphism, t: float) -> float:
     x = _fit_grid(phi)
     with np.errstate(over="ignore"):
         sup = float(np.fmax.reduce(
-            _lane_rule(np.asarray(phi.forward(t * x), dtype=float))
-            / _lane_rule(np.asarray(phi.forward(x), dtype=float))))
+            _lane_rule(phi, t * x) / _lane_rule(phi, x)))
     return math.inf if math.isnan(sup) else sup
+
+
+def _span_values(phi: Homeomorphism):
+    """phi under ``_lane_rule`` on ``representable_x_grid(phi)`` extended
+    by 40 octaves on each side (``_octave_extension``), and the grid's
+    points per octave m: the growth layer's one evaluation of phi per map.
+    Built on first use and kept, read-only, on the map next to the grid."""
+    span = phi._ladders.get("x_span")
+    if span is None:
+        ext, m = _octave_extension(representable_x_grid(phi))
+        vals = _lane_rule(phi, ext)
+        vals.flags.writeable = False
+        span = phi._ladders["x_span"] = vals, m
+    return span
 
 
 def _escaping_sup(x: np.ndarray, quotient: np.ndarray) -> float:
@@ -172,34 +202,33 @@ def _escaping_sup(x: np.ndarray, quotient: np.ndarray) -> float:
     return sup if sup <= 2.0 * inner else math.inf
 
 
-def _octave_quotients(phi: Homeomorphism, grid: np.ndarray, ks):
-    """Yield phi(2^k x) / phi(x) on a dyadic grid for each integer k in ks,
-    NaN on the lanes ``_lane_rule`` drops, from one evaluation of phi on the
-    grid extended by max |k| octaves on each side.  Each is one division
-    into a reused buffer, under the caller's ``np.errstate``.
+def _octave_quotients(phi: Homeomorphism, ks):
+    """Yield phi(2^k x) / phi(x) on ``representable_x_grid(phi)`` for each
+    integer k in ks, |k| <= 40, NaN on the lanes ``_lane_rule`` drops.
+    Each is sliced from the map's one span evaluation (``_span_values``),
+    with no further call of phi, and is one division into a reused buffer,
+    under the caller's ``np.errstate``.
     """
-    reach = max(abs(int(k)) for k in ks)
-    ext, m = _octave_extension(grid, reach)
-    vals = _lane_rule(np.asarray(phi.forward(ext), dtype=float))
-    n = grid.size
-    den = vals[reach * m:reach * m + n]
+    vals, m = _span_values(phi)
+    n = representable_x_grid(phi).size
+    den = vals[_K_MAX * m:_K_MAX * m + n]
     quotient = np.empty(n)
     for k in ks:
-        start = (reach + int(k)) * m
+        start = (_K_MAX + int(k)) * m
         yield np.divide(vals[start:start + n], den, out=quotient)
 
 
-def _dyadic_ratios(phi: Homeomorphism, grid: np.ndarray, ks) -> np.ndarray:
+def _dyadic_ratios(phi: Homeomorphism, ks) -> np.ndarray:
     """The largest sampled ratio at t = 2^k for each integer k in ks, from
     ``_octave_quotients``; a shift with no lane left reads inf.
 
     At k > 0 an escaping supremum (``_escaping_sup``) reads inf.  Below
     t = 1 the ratio of an increasing map is at most 1, and nothing escapes.
     """
+    grid = representable_x_grid(phi)
     sups = np.empty(len(ks))
     with np.errstate(over="ignore"):
-        for j, (k, quotient) in enumerate(
-                zip(ks, _octave_quotients(phi, grid, ks))):
+        for j, (k, quotient) in enumerate(zip(ks, _octave_quotients(phi, ks))):
             sups[j] = (_escaping_sup(grid, quotient) if k > 0
                        else np.fmax.reduce(quotient))
     sups[np.isnan(sups)] = math.inf
@@ -239,8 +268,9 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
 
     The ratio is sampled at t = 2^-k and t = 2^k for k = 29, ..., 40, on
     the dyadic ``representable_x_grid`` (at least 10^4 log-spaced x) under
-    ``growth_ratio``'s lane rule, all from one evaluation of phi
-    (``_octave_quotients``).  The lower exponent is the least-squares slope
+    ``growth_ratio``'s lane rule, all sliced from the map's one span
+    evaluation (``_span_values``), which holds no value of phi at a
+    subnormal argument.  The lower exponent is the least-squares slope
     of ln M(t) against ln t over the 12 values of t = 2^-k; the upper
     exponent is fitted the same way over the 12 values of t = 2^k, and is
     reported as inf when one of them escapes (``_escaping_sup``, the rule
@@ -257,7 +287,8 @@ def estimate_indices(phi: Homeomorphism) -> IndexEstimate:
     the lower fit needs every logarithm finite.
     """
     ks = np.arange(_K_MAX - _FIT_POINTS + 1, _K_MAX + 1)
-    ratios = _dyadic_ratios(phi, _fit_grid(phi), np.concatenate((-ks, ks)))
+    _fit_grid(phi)  # raises on a ladder range under 40 octaves
+    ratios = _dyadic_ratios(phi, np.concatenate((-ks, ks)))
     m_small, m_large = ratios[:ks.size], ratios[ks.size:]
     lost = np.flatnonzero(m_small == 0.0)
     if lost.size:
@@ -294,7 +325,7 @@ def check_delta2(phi: Homeomorphism) -> Delta2Result:
     The doubling constant is the supremum of phi(2x) / phi(x) over the lanes
     ``growth_ratio`` keeps (both factors finite and normal) on
     ``representable_x_grid(phi)``, read by ``_dyadic_ratios`` at t = 2 from
-    one evaluation of phi on that grid extended by one octave on each side.
+    the map's one span evaluation, the one-octave shift a slice of it.
     The condition holds when that supremum does not escape
     (``_escaping_sup``, the rule of the growth fit): it must be finite and
     within a factor of two of its value over the kept span pulled in by two
@@ -305,7 +336,7 @@ def check_delta2(phi: Homeomorphism) -> Delta2Result:
     span, which is more than four octaves up to r = 409.  ``k_hat`` is the
     constant, and inf when the condition fails.
     """
-    k_hat = float(_dyadic_ratios(phi, representable_x_grid(phi), [1])[0])
+    k_hat = float(_dyadic_ratios(phi, [1])[0])
     return Delta2Result(holds=k_hat < math.inf, k_hat=k_hat)
 
 
@@ -331,13 +362,15 @@ def check_phi_conditions(phi: Homeomorphism,
 
     over the sampled pairs: t = 2^j for the 81 integers j in [-40, 40],
     and the x of ``representable_x_grid(phi)``, keeping the lanes of
-    ``growth_ratio``'s rule (both factors finite and normal).  Each t x is
-    that grid shifted by j octaves, so phi is evaluated once
-    (``_octave_quotients``) and the pairs are taken one t at a time.
-    Success returns the comparison pair as descriptor strings; a zero lower
-    estimate or an unbounded upper one reports failure immediately, since
-    no power pair can work, and so does a sampled ratio that is not finite
-    and positive.
+    ``growth_ratio``'s rule (both arguments and both factors normal, the
+    factors finite).  Each t x is that grid shifted by j octaves, so the
+    ratios are slices of the map's one span evaluation
+    (``_octave_quotients``), taken one t at a time.  Success returns the
+    comparison pair as descriptor strings.  A lower exponent p <= 0
+    (alpha_hat <= 0.05, which makes min(t^p, t^q) no longer increasing) or
+    an unbounded upper estimate reports failure immediately, with p and q
+    NaN, since no power pair can work; so does a sampled ratio that is not
+    finite and positive, with p and q set.
 
     ``phi_prime_cond`` is the relaxed variant that keeps the power-pair
     lower inequality but only asks for some finite majorant on the upper
@@ -346,21 +379,20 @@ def check_phi_conditions(phi: Homeomorphism,
     """
     est = estimate if estimate is not None else estimate_indices(phi)
     a, b = est.alpha_hat, est.beta_hat
-    # The ordering check tolerates rounding at the last digit of the fits;
-    # anything beyond that genuinely disqualifies a power comparison.
-    if not (a > 0.0 and np.isfinite(b) and a <= b + 1e-9):
-        return PhiConditionReport(False, None, None, False, math.inf,
-                                  math.nan, math.nan)
     p = a - 0.05
     q = b + 0.05
+    # The ordering check tolerates rounding at the last digit of the fits;
+    # anything beyond that genuinely disqualifies a power comparison.
+    if not (p > 0.0 and np.isfinite(b) and a <= b + 1e-9):
+        return PhiConditionReport(False, None, None, False, math.inf,
+                                  math.nan, math.nan)
     js = np.arange(-_K_MAX, _K_MAX + 1)
     t = 2.0 ** js
     c_upper = c_lower = -math.inf
     with np.errstate(over="ignore"):
         lo_unit = np.minimum(t ** p, t ** q)
         hi_unit = np.maximum(t ** p, t ** q)
-        for j, ratio in enumerate(
-                _octave_quotients(phi, representable_x_grid(phi), js)):
+        for j, ratio in enumerate(_octave_quotients(phi, js)):
             # Correctly rounded division is monotone, so the largest
             # ratio / hi and lo / ratio come from the extremes.  A shift
             # with no lane kept reads NaN and fails too.

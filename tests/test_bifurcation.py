@@ -259,6 +259,29 @@ class TestBatchedFold:
         else:
             assert diagram.lambda_star_estimate == estimate
 
+    def test_empty_scans_march_nothing(self, monkeypatch):
+        # The fold search and the gap retries scan no lambda when no spot
+        # was missed and no interior gap exists; such a scan returns at
+        # once, and the diagram and its fold stay those of the one-lambda
+        # scans bit for bit.
+        _, scans = patched_scans(monkeypatch)
+        lanes = []
+        marches = nonlinear._marches
+
+        def counted(spec, s_values, lam):
+            lanes.append(np.size(s_values))
+            return marches(spec, s_values, lam)
+
+        monkeypatch.setattr(nonlinear, "_marches", counted)
+        spec = reference_spec(n_nodes=129)
+        diagram = sweep(spec, FOLD_SWEEP, s_max=100.0, count=60)
+        assert sum(not lams for lams, _ in scans) == 2
+        lanes.clear()
+        assert _scan(spec, [], 100.0, 60) == [] and lanes == []
+        points, estimate = sequential_sweep(spec, FOLD_SWEEP)
+        assert [(p.lam, p.solutions) for p in diagram.points] == points
+        assert diagram.lambda_star_estimate == estimate
+
     @pytest.mark.parametrize("lo, hi, tol", [(8.0, 25.0, 1e-2),
                                              (*FOLD_SWEEP[1:], 1e-3)],
                              ids=["wide", "bracket"])

@@ -479,11 +479,15 @@ def test_secant_step_out_of_bracket_takes_the_midpoint():
 
 def test_decade_ladder_does_not_move():
     # The decade ladder brackets the growth grids, the inverse table and the
-    # comparison constants; it is built exactly as before the fine ladder
-    # was added, for every catalog map and its inverse map, and every 16th
-    # fine probe is its decade probe.
+    # comparison constants; it starts at the smallest normal float and is
+    # built as before the fine ladder was added, for every catalog map and
+    # its inverse map, and from 1e-307 up every 16th fine probe is its
+    # decade probe.  The fine ladder still runs down to 1e-320.
+    decades = np.concatenate(([np.finfo(float).tiny],
+                              10.0 ** np.arange(-307, 309)))
+
     def reference(forward_pos):
-        probes = 10.0 ** np.arange(-320, 309)
+        probes = decades
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = np.asarray(forward_pos(probes), dtype=float)
         valid = np.isfinite(vals) & (vals > 0.0)
@@ -493,7 +497,7 @@ def test_decade_ladder_does_not_move():
 
     assert np.array_equal(_probes(_FINE_PER_DECADE)[::_FINE_PER_DECADE],
                           10.0 ** np.arange(-320, 309))
-    assert np.array_equal(_probes(1), 10.0 ** np.arange(-320, 309))
+    assert np.array_equal(_probes(1), decades)
     for phi in ALL_ENTRIES:
         for m in (phi, inverse_homeomorphism(phi)):
             fresh = Homeomorphism(m.label, m._forward_pos, m._inverse_pos)

@@ -10,9 +10,11 @@ from phibvp import (CATALOG_DESCRIPTORS, Homeomorphism, HypothesisVerdict,
                     check_phi_conditions, classify_limit, duality_check,
                     estimate_indices, growth_ratio, hypothesis_advisor,
                     inverse_homeomorphism, make_catalog_entry, make_power)
-from phibvp import orlicz
-from phibvp.orlicz import (_dyadic_ratios, _escaping_sup, _lane_rule,
-                           _octave_extension, representable_x_grid)
+from phibvp import homeomorphisms, orlicz
+from phibvp.orlicz import (_dyadic_ratios, _escaping_sup, _octave_extension,
+                           representable_x_grid)
+
+_TINY = float(np.finfo(float).tiny)
 
 # Frozen battery targets: fitted exponent pair and doubling constant per
 # catalog entry, plus whether the two-sided power sandwich is certifiable.
@@ -120,20 +122,67 @@ class TestGrowthRatio:
         assert calls[1] == grid.size + 80 * _octave_points(grid)
         assert estimate == estimate_for("sum-powers:3,1.5")
 
-    @pytest.mark.parametrize("reach, check", [
-        (40, lambda phi: check_phi_conditions(
-            phi, estimate=estimate_for("sum-powers:3,1.5"))),
-        (1, check_delta2),
+    @pytest.mark.parametrize("check", [
+        lambda phi: check_phi_conditions(
+            phi, estimate=estimate_for("sum-powers:3,1.5")),
+        check_delta2,
     ], ids=["phi_conditions", "delta2"])
-    def test_checks_evaluate_phi_on_the_same_grid_once(self, reach, check):
-        # The power sandwich and the doubling test read the fit's grid,
-        # extended by the octaves they shift it: one forward call each
-        # after the probe ladder's.
+    def test_checks_evaluate_phi_on_the_same_grid_once(self, check):
+        # The power sandwich and the doubling test read the fit's span,
+        # the grid extended by 40 octaves on each side, even where they
+        # shift it less: one forward call each after the probe ladder's.
         counted, calls = _counted("sum-powers:3,1.5")
         check(counted)
         grid = representable_x_grid(counted)
         assert len(calls) == 2
-        assert calls[1] == grid.size + 2 * reach * _octave_points(grid)
+        assert calls[1] == grid.size + 80 * _octave_points(grid)
+
+    @pytest.mark.parametrize("descriptor", ["sum-powers:3,1.5", "power:0.5"])
+    def test_span_is_evaluated_once_per_map(self, descriptor):
+        # The fit and both checks of one indices run slice one evaluation
+        # of phi, at the span's normal arguments only: power:0.5's span
+        # reaches below the smallest normal float, sum-powers' does not.
+        counted, calls = _counted(descriptor)
+        estimate = estimate_indices(counted)
+        check_delta2(counted)
+        check_phi_conditions(counted, estimate=estimate)
+        grid = representable_x_grid(counted)
+        ext, _ = _octave_extension(grid)
+        assert len(calls) == 2
+        assert calls[1] == np.count_nonzero(ext >= _TINY)
+        assert (calls[1] < ext.size) == (descriptor == "power:0.5")
+        assert estimate == estimate_indices(make_catalog_entry(descriptor))
+
+    @pytest.mark.parametrize("descriptor", ["sum-powers:3,1.5", "ratio:2,0.5",
+                                            "xlog", "x-log1p"])
+    def test_inverse_engine_sees_only_normal_targets(self, descriptor,
+                                                     monkeypatch):
+        # Through the inverse map, the growth layer's arguments are the
+        # engine's targets.  None lies below the smallest normal float, so
+        # none falls back to the bracketed search for being quantized; the
+        # fallback runs only at xlog's flat point, x = 1.
+        targets, fallback_roots = [], []
+        invert, lane_root = (homeomorphisms._invert_positive,
+                             homeomorphisms._lane_root)
+
+        def counted_invert(phi, y, out_of_range):
+            targets.append(float(np.min(y)))
+            return invert(phi, y, out_of_range)
+
+        def counted_lane_root(*args):
+            out = lane_root(*args)
+            fallback_roots.extend(out[1].tolist())
+            return out
+
+        monkeypatch.setattr(homeomorphisms, "_invert_positive", counted_invert)
+        monkeypatch.setattr(homeomorphisms, "_lane_root", counted_lane_root)
+        phi = make_catalog_entry(descriptor)
+        duality_check(phi)
+        check_delta2(phi)
+        check_phi_conditions(phi)
+        assert targets and min(targets) >= _TINY
+        assert set(fallback_roots) <= ({1.0} if descriptor == "xlog"
+                                       else set())
 
     def test_span_is_built_once_per_map(self, monkeypatch):
         # The fit and both checks of one indices run share the span, kept
@@ -161,27 +210,36 @@ class TestGrowthRatio:
     def test_octave_shift_is_direct_evaluation(self, descriptor, side):
         # Shifting the dyadic grid by k octaves is x * 2^k bit for bit, so
         # each sliced ratio is the ratio sampled directly at t = 2^k, with
-        # the same lanes dropped; at t > 1 it passes the same escape test.
+        # the same lanes dropped: an argument below the smallest normal
+        # float, or a value that is not finite and normal.  At t > 1 it
+        # passes the same escape test.
         phi = _RANGE_EDGE_MAPS.get(descriptor) or entry_for(descriptor)
         if side == "inverse":
             phi = inverse_homeomorphism(phi)
         grid = representable_x_grid(phi)
-        ext, m = _octave_extension(grid, 40)
+        ext, m = _octave_extension(grid)
         ks = [k for k in range(-40, 41) if abs(k) >= 29 or k == 1]
         with np.errstate(over="ignore"):
             for k in ks:
                 start = (40 + k) * m
                 np.testing.assert_array_equal(ext[start:start + grid.size],
                                               grid * 2.0 ** k)
-        den = _lane_rule(np.asarray(phi.forward(grid), dtype=float))
+
+        def kept(args):
+            vals = np.asarray(phi.forward(args), dtype=float)
+            return np.where((args >= _TINY) & np.isfinite(vals)
+                            & (vals >= _TINY), vals, np.nan)
+
+        den = kept(grid)
         direct = []
         with np.errstate(over="ignore"):
             for k in ks:
-                num = _lane_rule(
-                    np.asarray(phi.forward(grid * 2.0 ** k), dtype=float))
-                direct.append(_escaping_sup(grid, num / den) if k > 0
+                quotient = kept(grid * 2.0 ** k) / den
+                direct.append(_escaping_sup(grid, quotient) if k > 0
                               else growth_ratio(phi, 2.0 ** k))
-        assert list(_dyadic_ratios(phi, grid, ks)) == direct
+                if k < 0:
+                    assert direct[-1] == np.fmax.reduce(quotient)
+        assert list(_dyadic_ratios(phi, ks)) == direct
 
 
 class TestIndexEstimates:
@@ -241,6 +299,31 @@ class TestIndexEstimates:
         assert estimate_indices(make_power(0.02)).alpha_hat == 0.0
         assert estimate_indices(make_power(0.05)).alpha_hat == pytest.approx(
             0.05, abs=1e-5)
+
+    @pytest.mark.parametrize("r", [0.5, 0.05])
+    def test_small_power_exponent_is_sharp(self, r):
+        # Near 0 the span of a power map below 1 runs down to the smallest
+        # normal float; the lane rule drops the quantized t x below it.
+        est = estimate_indices(make_power(r))
+        assert est.alpha_hat == pytest.approx(r, abs=1e-12)
+        assert est.beta_hat == pytest.approx(r, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [2.0, 3.0, 20.0])
+    def test_inverse_power_exponents_are_reciprocal(self, r):
+        # power:r's inverse is t^(1/r) in closed form; its span runs down
+        # to the smallest normal float, where each quantized argument
+        # would read the rounding of t x, not the map.
+        est = estimate_indices(inverse_homeomorphism(make_power(r)))
+        assert est.alpha_hat == pytest.approx(1.0 / r, abs=1e-12)
+        assert est.beta_hat == pytest.approx(1.0 / r, abs=1e-12)
+
+    @pytest.mark.parametrize("descriptor, alpha", [
+        ("sum-powers:0.1,0.02", 0.02), ("sum-powers:0.05,0.02", 0.02)])
+    def test_smallest_exponent_of_a_sum_is_read(self, descriptor, alpha):
+        # The lower slope of y^p1 + y^p2 is p2 down at the smallest normal
+        # float; quantized arguments below it would flatten it to 0.
+        est = estimate_indices(make_catalog_entry(descriptor))
+        assert est.alpha_hat == pytest.approx(alpha, abs=1e-9)
 
     @pytest.mark.xfail(strict=True, reason=(
         "a slowly superpower ratio climbs by less than 2x over the last two "
@@ -394,6 +477,19 @@ class TestPowerSandwich:
         assert report == (False, None, None, False, math.inf,
                           40.0 - 0.05, 40.0 + 0.05)
 
+    @pytest.mark.parametrize("descriptor, p", [
+        ("power:0.03", -0.02), ("power:0.05", 0.0),
+        ("sum-powers:0.1,0.02", -0.03)])
+    def test_nonpositive_lower_power_is_not_a_pair(self, descriptor, p):
+        # With p = alpha_hat - 0.05 <= 0, min(t^p, t^q) is not increasing,
+        # so no pair is reported, as for a zero lower estimate.
+        phi = make_catalog_entry(descriptor)
+        est = estimate_indices(phi)
+        assert est.alpha_hat - 0.05 == pytest.approx(p, abs=1e-12)
+        report = check_phi_conditions(phi, estimate=est)
+        assert report[:5] == (False, None, None, False, math.inf)
+        assert math.isnan(report.p) and math.isnan(report.q)
+
     def test_certified_constants_are_modest(self):
         for descriptor, target in BATTERY.items():
             if not target["sandwich"]:
@@ -416,10 +512,11 @@ class TestDuality:
     @pytest.mark.parametrize("descriptor", ["power:2", "x-log1p", "logpow:2"])
     def test_inverse_lower_exponent_is_sharp(self, descriptor):
         # All three maps grow like y^2 near 0, so their inverses' lower
-        # exponent is 1/2.  A growth grid reaching into the subnormals
-        # inverts quantized targets and misses it by up to 2e-4.
+        # exponent is 1/2.  Inverting quantized targets below the smallest
+        # normal float would miss it by up to 2e-4; the lane rule drops
+        # them.
         res = duality_check(entry_for(descriptor))
-        assert res.inverse_estimate.alpha_hat == pytest.approx(0.5, abs=1e-5)
+        assert res.inverse_estimate.alpha_hat == pytest.approx(0.5, abs=1e-12)
 
 
 class TestClassifyLimit:

@@ -180,8 +180,11 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # A RuntimeWarning (an overflow or invalid value numpy lets through)
+    # fails the demo.
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
