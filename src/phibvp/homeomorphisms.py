@@ -8,7 +8,9 @@ odd on the whole line (the identity of power:1, the Laplacian case, and
 arcsinh with sinh) says so when it is built, and is then evaluated directly,
 at the cost of the map alone.  Every evaluation of the inverse, public or
 inside the solvers, takes its callable from ``_odd_inverse_fn``: the closed
-form when there is one, else the certified numeric engine.  A catalog of
+form when there is one, else the certified numeric engine.  The one
+exception is the comparison constant's ``_InverseTable``, an
+under-estimate read on a tabulated grid.  A catalog of
 standard examples is exposed through short descriptor strings such as
 ``"power:2"`` or ``"sum-powers:3,1.5"``.
 """
@@ -427,30 +429,6 @@ def inverse_saturating(phi: "Homeomorphism", z):
     condition fails or holds trivially.
     """
     return _evaluate(_odd_inverse_fn(phi, "inf"), z)
-
-
-def _rough_inverse(phi: "Homeomorphism", z):
-    """An uncertified estimate of ``inverse_saturating(phi, z)``, for a
-    search that only needs it to steer.
-
-    The closed form when there is one, else the numeric engine's start
-    without its sweeps or certificate: the log-log interpolation of
-    ``_secant_start`` on the fine probe ladder, 0 below the ladder's first
-    image and inf above its last.  Odd like ``phi.inverse``.
-    """
-    if phi._inverse_pos is not None:
-        return inverse_saturating(phi, z)
-    px, pv = phi._probe_ladder(_FINE_PER_DECADE)
-
-    def start(y):
-        i = np.searchsorted(pv, y, side="left")
-        out = np.where(y > pv[-1], np.inf, 0.0)
-        inside = (i > 0) & (i < px.size)
-        j = i[inside]
-        out[inside] = _secant_start(y[inside], px[j - 1], px[j], pv[j - 1],
-                                    pv[j])[0]
-        return out
-    return _evaluate(_odd(start), z)
 
 
 # Nodes of the table's geometric t grid, which spans 16 decades below the

@@ -8,13 +8,11 @@ condition through the scalar equation
 
 F is nondecreasing and continuous and changes sign on [min H, max H], so a
 bracketed root finder pins c.  The sign of F at those ends is known, so
-their values, which only steer the first probe, come from an uncertified
-estimate of phi^{-1}; every value that can decide c is certified.  From
-the first certified evaluation Newton steps, lengthened to land across the
-root, seed a tight bracket, and a safeguarded Illinois iteration reaches
-the last bit from it: on the maps without a closed-form inverse about
-eight evaluations of F where the unseeded iteration took eleven and
-bisection takes about 55.
+the search starts without evaluating it there: the first probe is the
+bracket's midpoint, Newton steps from each certified evaluation,
+lengthened to land across the root, seed a tight bracket, and a
+safeguarded Illinois iteration reaches the last bit from it.  Every value
+of F the search reads is certified.
 The module also evaluates the two-sided envelope of the solution, its cone
 lower bound, the monotonicity of the solution operator, and a numeric
 comparison constant c with
@@ -57,7 +55,7 @@ from .grids import (Grid, GridFunction, SupportData, _cell_trapezoids,
                     cumulative_trapezoid_values, dist_to_boundary,
                     require_same_grid, support_data)
 from .homeomorphisms import (Homeomorphism, _InverseTable, _lane_root,
-                             _rough_inverse, inverse_saturating)
+                             inverse_saturating)
 
 DEFAULT_TOL = 1e-10
 _REFINE = 16
@@ -145,16 +143,18 @@ def solve_linear(phi: Homeomorphism, h: GridFunction,
     H is sampled exactly on 16 uniform subintervals per grid cell.  The
     flux constant is found to the last representable bit on the bracket
     [min H, max H], on which the discrete boundary functional F changes
-    sign.  F at the bracket ends is read through an uncertified inverse
-    (see ``homeomorphisms._rough_inverse``) and only steers the first
-    probe, the secant through them; Newton probes from each certified
-    evaluation (see ``_newton_seed``) shrink the bracket until both of its
+    sign: F <= 0 at min H and F >= 0 at max H, so the search starts from
+    those signs without evaluating F there.  Probes from the bracket's
+    midpoint (see ``_newton_seed``) shrink the bracket until both of its
     ends are certified, and a safeguarded Illinois iteration on one lane
-    (see ``homeomorphisms._lane_root``) closes it.  Of the two adjacent
-    floats it ends on, certified either way, c is the one with the smaller
-    |F|, the lower on a tie.  ``tol`` is the
-    acceptance threshold on the remaining relative defect of u(b) = 0, not
-    a target the iteration aims for.  Raises
+    (see ``homeomorphisms._lane_root``) closes it; when no probe reads
+    F < 0, F(min H) decides first whether F changes sign at all.  Of the
+    two adjacent floats it ends on, certified either way, c is the one with
+    the smaller |F|, the lower on a tie.  That pair depends on the probes
+    only where the computed F changes sign more than once, which happens
+    within a few ulps of the root through the numeric inverse.  ``tol`` is
+    the acceptance threshold on the remaining relative defect of u(b) = 0,
+    not a target the iteration aims for.  Raises
     ``ConvergenceError`` when even the closed bracket cannot meet it, which
     signals a tolerance too tight for the grid, and ``UnboundedInputError``
     when phi^{-1}(c - H) leaves the range of phi for every flux constant c.
@@ -166,11 +166,11 @@ def solve_linear(phi: Homeomorphism, h: GridFunction,
     grid = h.grid
     span = grid.b - grid.a
 
-    def boundary_defect(c, inverse=inverse_saturating):
+    def boundary_defect(c):
         # phi^{-1}(c - H) on the fine points; the cells share their ends.
         # Where it saturates F is read as +-inf, so the search can pass
         # flux constants that no solution has.
-        g = inverse(phi, c - rc.fine_H)
+        g = inverse_saturating(phi, c - rc.fine_H)
         up, down = g.max() == np.inf, g.min() == -np.inf
         if up and down:
             raise UnboundedInputError(
@@ -192,20 +192,18 @@ def solve_linear(phi: Homeomorphism, h: GridFunction,
 
     lo = float(np.min(rc.fine_H))
     hi = float(np.max(rc.fine_H))
-    # F <= 0 at min H and F >= 0 at max H, so the ends' values only steer
-    # the first probe and come from the rough inverse.
-    f_lo = boundary_defect(lo, _rough_inverse)[0] if hi > lo else 0.0
-    if not f_lo < 0.0:
-        # lo == hi, or the rough phi^{-1} reads 0 at every target: the
-        # certified F(lo) decides whether there is a bracket.
+    f_lo = f_hi = 0.0
+    if hi > lo:
+        lo, hi, f_lo, f_hi = _newton_seed(phi, rc, defect, ends, lo, hi)
+    if f_hi == 0.0 and True not in ends:
+        # lo == hi, or F reads 0 and no probe has read F < 0: F(lo) decides
+        # whether F changes sign (it reads 0 on the whole bracket when
+        # phi^{-1} underflows there).
         f_lo = defect(lo)
     if f_lo < 0.0 and hi > lo:
-        lo, hi, f_lo, f_hi = _newton_seed(
-            phi, rc, defect, ends, lo, hi, f_lo,
-            boundary_defect(hi, _rough_inverse)[0])
         lo, hi, _, _ = _lane_root(lambda x: np.array([defect(float(x[0]))]),
                                   [lo], [hi], [f_lo], [f_hi])
-        # An end no probe moved was read roughly: certify it.
+        # An end no probe moved was never evaluated: certify it.
         for below, x in ((True, lo), (False, hi)):
             if below not in ends:
                 defect(float(x[0]))
@@ -249,26 +247,26 @@ def _cells(v: np.ndarray) -> np.ndarray:
                       strides=(_REFINE * step, step), writeable=False)
 
 
-def _newton_seed(phi, rc, defect, ends, lo, hi, f_lo, f_hi):
+def _newton_seed(phi, rc, defect, ends, lo, hi):
     """A tight bracket of the flux constant from a few certified probes.
 
-    The first probe is the secant through the ends, their midpoint where a
-    value is infinite; each later one is a Newton step from the last,
-    lengthened by ``_NEWTON_OVERSHOOT`` so that it lands across the root,
-    with F'(c) the cell trapezoid of 1/phi'(g) and phi' a central
-    difference of the forward map (non-finite entries, where phi'(0) = 0,
-    are dropped).  A step that rounds onto c takes the adjacent float.  The
+    The ends enter with the known signs of F, read as -inf at ``lo`` and
+    +inf at ``hi``.  The first probe is their midpoint; each later one is a
+    Newton step from the last, lengthened by ``_NEWTON_OVERSHOOT`` so that
+    it lands across the root, with F'(c) the cell trapezoid of 1/phi'(g)
+    and phi' a central difference of the forward map (non-finite entries,
+    where phi'(0) = 0, are dropped).  A step that rounds onto c takes the
+    adjacent float.  An end no probe moved comes back infinite.  The
     probes stop once both ends are certified, after a probe that would
-    leave the bracket, or after ``_NEWTON_PROBES``.  ``defect`` certifies
+    leave the bracket or whose slope reads 0 (phi^{-1} underflows at every
+    fine point), or after ``_NEWTON_PROBES``.  ``defect`` certifies
     F and records it in ``ends``; returns ``(lo, hi, f_lo, f_hi)``.
     """
     forward = phi._forward_pos
+    f_lo, f_hi = -math.inf, math.inf
+    c = min(max(0.5 * lo + 0.5 * hi, np.nextafter(lo, hi)),
+            np.nextafter(hi, lo))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if np.isfinite(f_lo - f_hi):
-            c = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        else:
-            c = 0.5 * lo + 0.5 * hi
-        c = min(max(c, np.nextafter(lo, hi)), np.nextafter(hi, lo))
         for _ in range(_NEWTON_PROBES):
             if not lo < c < hi:
                 break
@@ -285,6 +283,8 @@ def _newton_seed(phi, rc, defect, ends, lo, hi, f_lo, f_hi):
             w = (2.0 * _SLOPE_REL) * a / (z[:a.size] - z[a.size:])
             w[~np.isfinite(w)] = 0.0
             slope = float(np.sum(rc.integrate_cells(_cells(w))))
+            if not slope > 0.0:
+                break
             nxt = c - F / slope * _NEWTON_OVERSHOOT
             c = float(np.nextafter(c, lo if F >= 0.0 else hi) if nxt == c
                       else nxt)

@@ -4,13 +4,16 @@ The supersolution is the solved profile of a constant multiple of m + n; the
 subsolution is the solved profile of a small multiple of m times a power of
 the distance to the boundary.  Both are verified against the discrete form
 of the differential inequality.  Between an ordered verified pair, a clamped
-fixed-point iteration converges to a solution: Picard steps accelerated by
-depth-1 Anderson mixing, with a plain step whenever the gap fails to fall,
-so the iterates need not be monotone.  Independently, a shooting
-integrator turns every positive solution into a root of the terminal-defect
-map s -> u(b; s), which a scanning routine brackets and refines.  The
-integrator marches many slopes and lambda values at once, as lanes of one
-stacked RK4 state (u, phi(u')), and locates zero crossings after the march.
+fixed-point iteration seeks a solution: Picard steps accelerated by depth-1
+Anderson mixing, with a plain step whenever the gap fails to fall, so the
+iterates need not be monotone.  Where the right-hand side is not
+nondecreasing in u, neither is the iteration map, and the iteration can
+end unconverged after 200 solves even between a verified pair.
+Independently, a shooting integrator turns every positive solution into a
+root of the terminal-defect map s -> u(b; s), which a scanning routine
+brackets and refines.  The integrator marches many slopes and lambda
+values at once, as lanes of one stacked RK4 state (u, phi(u')), and
+locates zero crossings after the march.
 Each refinement pass marches, for every bracket at once, its eighths and a
 cluster of probes graded toward a regula-falsi estimate of the root on the
 continued terminal, the marched u(b) that runs on linearly past a zero

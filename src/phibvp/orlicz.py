@@ -366,11 +366,11 @@ def check_phi_conditions(phi: Homeomorphism,
     factors finite).  Each t x is that grid shifted by j octaves, so the
     ratios are slices of the map's one span evaluation
     (``_octave_quotients``), taken one t at a time.  Success returns the
-    comparison pair as descriptor strings.  A lower exponent p <= 0
-    (alpha_hat <= 0.05, which makes min(t^p, t^q) no longer increasing) or
-    an unbounded upper estimate reports failure immediately, with p and q
-    NaN, since no power pair can work; so does a sampled ratio that is not
-    finite and positive, with p and q set.
+    comparison pair as descriptor strings.  A lower exponent p <= 1e-9
+    (alpha_hat <= 0.05 to the fit's last digits, where min(t^p, t^q) stops
+    increasing) or an unbounded upper estimate reports failure at once, with
+    p and q NaN, since no power pair can work; so does a sampled ratio that
+    is not finite and positive, with p and q set.
 
     ``phi_prime_cond`` is the relaxed variant that keeps the power-pair
     lower inequality but only asks for some finite majorant on the upper
@@ -381,9 +381,9 @@ def check_phi_conditions(phi: Homeomorphism,
     a, b = est.alpha_hat, est.beta_hat
     p = a - 0.05
     q = b + 0.05
-    # The ordering check tolerates rounding at the last digit of the fits;
-    # anything beyond that genuinely disqualifies a power comparison.
-    if not (p > 0.0 and np.isfinite(b) and a <= b + 1e-9):
+    # The lower power and the ordering check tolerate rounding at the last
+    # digits of the fits; anything beyond that decides the comparison.
+    if not (p > 1e-9 and np.isfinite(b) and a <= b + 1e-9):
         return PhiConditionReport(False, None, None, False, math.inf,
                                   math.nan, math.nan)
     js = np.arange(-_K_MAX, _K_MAX + 1)

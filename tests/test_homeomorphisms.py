@@ -11,7 +11,7 @@ from phibvp import homeomorphisms
 from phibvp.homeomorphisms import (_FINE_PER_DECADE, _RESIDUAL_TOL,
                                    _RETRY_STEPS, _InverseTable, _lane_root,
                                    _odd, _odd_inverse_fn, _probes,
-                                   _rough_inverse, _secant_roots)
+                                   _secant_roots)
 
 ALL_ENTRIES = [make_catalog_entry(d) for d in CATALOG_DESCRIPTORS]
 
@@ -398,25 +398,6 @@ def test_plateau_targets_get_the_smallest_reaching_float(descriptor):
     x = numeric_inverse(phi, y)
     assert np.all(phi.forward(x) >= y)
     assert np.all(phi.forward(np.nextafter(x, 0.0)) < y)
-
-
-@pytest.mark.parametrize("descriptor", CATALOG_DESCRIPTORS + ("bounded",))
-def test_rough_inverse_steers_like_the_certified_one(descriptor):
-    # The closed form where there is one; else the engine's log-log start,
-    # within 0.5% of the certified root, saturating where it saturates.
-    phi = (_bounded() if descriptor == "bounded"
-           else make_catalog_entry(descriptor))
-    z = np.concatenate((-np.geomspace(1e-6, 1e6, 50), [0.0, 2.0, 1e300],
-                        np.geomspace(1e-6, 1e6, 50)))
-    rough = _rough_inverse(phi, z)
-    exact = inverse_saturating(phi, z)
-    if phi._inverse_pos is not None:
-        assert _same_bits(rough, exact)
-    else:
-        assert np.array_equal(np.isinf(rough), np.isinf(exact))
-        assert np.array_equal(np.sign(rough), np.sign(exact))
-        finite = np.isfinite(exact)
-        assert np.allclose(rough[finite], exact[finite], rtol=5e-3, atol=0.0)
 
 
 def test_roots_do_not_depend_on_the_batch(monkeypatch):

@@ -479,10 +479,12 @@ class TestPowerSandwich:
 
     @pytest.mark.parametrize("descriptor, p", [
         ("power:0.03", -0.02), ("power:0.05", 0.0),
-        ("sum-powers:0.1,0.02", -0.03)])
+        ("sum-powers:0.1,0.02", -0.03), ("sum-powers:0.1,0.05", 0.0)])
     def test_nonpositive_lower_power_is_not_a_pair(self, descriptor, p):
         # With p = alpha_hat - 0.05 <= 0, min(t^p, t^q) is not increasing,
-        # so no pair is reported, as for a zero lower estimate.
+        # so no pair is reported, as for a zero lower estimate.  A lower
+        # exponent of 0.05 gives no pair whichever way its fit rounds:
+        # sum-powers:0.1,0.05 reads p = 6.2e-17.
         phi = make_catalog_entry(descriptor)
         est = estimate_indices(phi)
         assert est.alpha_hat - 0.05 == pytest.approx(p, abs=1e-12)

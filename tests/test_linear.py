@@ -81,9 +81,14 @@ class TestPowerOracles:
                            kappa ** (1.0 / r) * base.u.values, atol=1e-8)
 
     def test_zero_forcing_gives_zero_solution(self):
+        # H = 0 leaves the one-point bracket [0, 0]: the flux search is
+        # skipped and F(0) is certified, on every catalog map.
         g = Grid.uniform(0.0, 1.0, 129)
-        profile = solve_linear(make_power(2.0), GridFunction(g, np.zeros(129)))
-        assert sup_norm(profile.u) == 0.0
+        for descriptor in CATALOG_DESCRIPTORS:
+            profile = solve_linear(make_catalog_entry(descriptor),
+                                   GridFunction(g, np.zeros(129)))
+            assert sup_norm(profile.u) == 0.0, descriptor
+            assert profile.c_star == 0.0, descriptor
 
     def test_absurd_tolerance_raises(self):
         with pytest.raises(ConvergenceError):
@@ -135,6 +140,24 @@ def _bounded():
     return Homeomorphism("bounded", lambda y: y / (1.0 + y))
 
 
+def _assert_straddles(phi, h, c):
+    """c and the adjacent float across the root straddle the sign change of
+    F through ``phi.inverse`` on the cells, and c has the smaller |F|, the
+    lower c on a tie."""
+    rc = _RefinedCumulative(h.grid, h.values)
+
+    def F(c):
+        return float(np.sum(rc.integrate_cells(phi.inverse(c - rc.cell_H))))
+
+    F_c = F(c)
+    if F_c < 0.0:
+        F_up = F(np.nextafter(c, np.inf))
+        assert F_up >= 0.0 and abs(F_c) <= abs(F_up)
+    else:
+        F_down = F(np.nextafter(c, -np.inf))
+        assert F_down < 0.0 and abs(F_c) < abs(F_down)
+
+
 class TestFluxConstant:
     CASES = corpus(seed=0, count=40)
 
@@ -154,31 +177,46 @@ class TestFluxConstant:
                                       np.full(129, height))
                          for height in (0.3, 1.0, 2.5)]
 
-    @pytest.mark.parametrize("index", range(len(NUMERIC)))
+    @pytest.mark.parametrize("index", range(len(CASES)))
     def test_root_straddles_the_sign_change(self, index):
-        # The seeded search reads F roughly at the bracket ends; whatever
-        # it returns must be certified.  Against F through phi.inverse on
-        # the cells, c and the adjacent float across the root straddle the
-        # sign change, and c has the smaller |F|, the lower c on a tie.
-        _, phi, h = self.NUMERIC[index]
-        rc = _RefinedCumulative(h.grid, h.values)
+        # Whatever probes led to it, c must be certified.
+        _, phi, h = self.CASES[index]
+        _assert_straddles(phi, h, solve_linear(phi, h).c_star)
 
-        def F(c):
-            return float(np.sum(rc.integrate_cells(phi.inverse(c - rc.cell_H))))
+    @pytest.mark.parametrize("descriptor",
+                             ["power:0.02", "sum-powers:0.05,0.02"])
+    def test_flat_newton_slope_hands_over_to_the_bracket(self, descriptor):
+        # phi^{-1}(c - H) underflows to 0 at every fine point of the first
+        # probe, so F and its Newton slope read 0 there; the search goes
+        # on from the bracket instead of dividing by the slope.
+        g = Grid.uniform(0.0, 1.0, 129)
+        h = GridFunction(g, 1e-6 * (np.sin(3.0 * np.pi * g.nodes) + 0.2))
+        phi = make_catalog_entry(descriptor)
+        _assert_straddles(phi, h, solve_linear(phi, h).c_star)
 
-        c = solve_linear(phi, h).c_star
-        F_c = F(c)
-        if F_c < 0.0:
-            F_up = F(np.nextafter(c, np.inf))
-            assert F_up >= 0.0 and abs(F_c) <= abs(F_up)
-        else:
-            F_down = F(np.nextafter(c, -np.inf))
-            assert F_down < 0.0 and abs(F_c) < abs(F_down)
+    @pytest.mark.parametrize("descriptor",
+                             ["power:0.02", "sum-powers:0.05,0.02"])
+    def test_underflowing_bracket_takes_two_evaluations(self, descriptor,
+                                                         monkeypatch):
+        # H spans less than phi(5e-324) = 3.4e-7, so F reads 0 on the whole
+        # bracket: the midpoint and min H decide it, and c = min H = 0.
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return inverse_saturating(*args)
+
+        monkeypatch.setattr(linear, "inverse_saturating", counted)
+        g = Grid.uniform(0.0, 1.0, 129)
+        profile = solve_linear(make_catalog_entry(descriptor),
+                               GridFunction(g, np.full(129, 1e-8)))
+        assert profile.c_star == 0.0 and sup_norm(profile.u) == 0.0
+        assert len(calls) <= 2
 
     def test_certified_call_budget(self, monkeypatch):
         # Engine calls per solve on the maps without a closed-form inverse:
-        # the bracket ends cost none, and Newton probes from the first
-        # certified evaluation land across the root.
+        # Newton probes from the first certified evaluation land across
+        # the root.
         calls = []
         engine = homeomorphisms._invert_positive
 

@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phibvp import (CATALOG_DESCRIPTORS, ConstructionError, FConstants,
-                    G1Constants, G2Constants, Grid, GridFunction, Homeomorphism,
-                    ProblemSpec, SolutionProfile, build_subsolution, build_supersolution,
-                    make_catalog_entry, make_power, make_sub_super_pair, scan_shooting, shoot,
-                    solve_between, solve_linear, sup_norm, verify_subsolution,
-                    verify_supersolution, with_lambda)
+from phibvp import (CATALOG_DESCRIPTORS, ConstructionError, ConvergenceError,
+                    FConstants, G1Constants, G2Constants, Grid, GridFunction,
+                    Homeomorphism, ProblemSpec, SolutionProfile, build_subsolution,
+                    build_supersolution, dist_to_boundary,
+                    estimate_comparison_constant, make_catalog_entry, make_power,
+                    make_sub_super_pair, scan_shooting, shoot, solve_between,
+                    solve_linear, sup_norm, verify_subsolution, verify_supersolution,
+                    with_lambda)
 from phibvp import nonlinear
 from phibvp.homeomorphisms import _odd_inverse_fn
 from phibvp.nonlinear import (_BLOWUP_FLUX, _BLOWUP_STATE, _CONFIRM,
@@ -397,6 +399,29 @@ class TestSolveBetween:
         assert sol.residual < 1e-6
         assert np.all(pair.sub.u.values <= sol.u.values)
         assert np.all(sol.u.values <= pair.super.u.values)
+
+    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                       reason="with G not monotone, convergence on power:2 "
+                              "rests on the exact subsolution")
+    @pytest.mark.parametrize("lam", [0.05, 0.2])
+    def test_clamp_convergence_survives_a_smaller_constant(self, lam):
+        # The clamp-active problem above on power:2, with the subsolution
+        # built from 0.99 times the estimated comparison constant.  The
+        # pair is verified and ordered, yet the iteration is still 5.0e-8
+        # and 5.2e-3 from converged after 200 solves; from the estimate
+        # itself it converges in 34 and 141.
+        spec = cubic_spec("power:2", lam, c0=0.1,
+                          f=lambda t: np.sqrt(t) * (1.0 + 0.9 * np.sin(400.0 * t)))
+        sup = build_supersolution(spec).w
+        h_base = GridFunction(spec.grid, spec.m.values
+                              * dist_to_boundary(spec.grid).values ** 0.5)
+        c = 0.99 * estimate_comparison_constant(spec.phi, h_base)
+        sub = build_subsolution(spec, c, upper=sup).v
+        assert verify_subsolution(spec, sub).passed
+        assert verify_supersolution(spec, sup).passed
+        assert np.all(sub.u.values <= sup.u.values)
+        sol = solve_between(spec, sub, sup)
+        assert sol.residual < 1e-6
 
 
 class TestShooting:

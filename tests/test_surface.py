@@ -1,7 +1,8 @@
 """The package's public surface: ``__all__`` resolves, every name the
 demos, the benchmark and the README take from the package stays in it,
 every exported function has a caller outside the tests, the parameters of
-every exported function are pinned, and every demo runs."""
+every exported function are pinned, every demo runs, and the package
+imports nothing beyond the standard library and numpy."""
 
 import ast
 import importlib
@@ -215,6 +216,26 @@ def test_modules_use_every_name_they_import():
              for path in sorted((ROOT / "src" / "phibvp").glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def _third_party_imports(source):
+    """Top-level names of the absolute imports in the source that are
+    neither the standard library nor numpy, the package's one dependency."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - allowed)
+
+
+def test_package_depends_only_on_numpy():
+    found = {path.name: _third_party_imports(path.read_text())
+             for path in sorted((ROOT / "src" / "phibvp").glob("*.py"))}
+    assert len(found) > 10
+    assert {name: extra for name, extra in found.items() if extra} == {}
 
 
 def test_benchmark_trace_targets_exist():
